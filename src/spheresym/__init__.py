@@ -17,6 +17,7 @@ from .core import (
     ZetaEstimate,
     build_gram,
     kernel,
+    swap_statistic,
     symmetrized_kernel,
     zeta_hat,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "sample_haar_orthogonal",
     "sample_unit_sphere",
     "spatial_median",
+    "swap_statistic",
     "symmetrized_kernel",
     "zeta_hat",
 ]

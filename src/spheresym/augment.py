@@ -7,6 +7,7 @@ center of symmetry) subtracts the spatial median; it is off by default.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,13 @@ def augment(sample: Sample, rng: RngStream) -> AugmentedSample:
     """Pair every row with a uniformly re-oriented copy of the same norm."""
     gen = rng.generator()
     u = _unit_rows(sample.n, sample.d, gen)
-    norms = np.linalg.norm(sample.data, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(sample.data, axis=1)
+    if not np.isfinite(norms).all():
+        raise ValueError(
+            "row norms overflow float64 (data too large in magnitude); "
+            "rescale the data, e.g. divide by its largest absolute entry"
+        )
     variant = norms[:, None] * u
     return AugmentedSample(original=sample, variant=variant)
 
@@ -121,5 +128,12 @@ def center(sample: Sample, mode: str = "none", tol: float = 1e-8, max_iter: int 
         return sample
     if mode == "spatial-median":
         med = spatial_median(sample, tol=tol, max_iter=max_iter)
+        if not med.converged:
+            warnings.warn(
+                f"spatial median did not converge in {med.n_iter} iterations "
+                f"(tol={tol}); centering uses the last iterate",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         return Sample(sample.data - med.point)
     raise ValueError(f"unknown centering mode: {mode!r}")

@@ -7,10 +7,12 @@ signed quadratic form
 
     zeta_hat(pi) = s^T G s / (n (n-1)),   s_i = 2 pi_i - 1 in {+1, -1},
 
-where G is the cached n x n matrix of pairwise g values.  This turns every
+where G is the cached n x n matrix of pairwise g values.  The observed value
+and every resample go through ``core.swap_statistic``.  This turns every
 resample into a matrix product over cached entries with zero kernel
-re-evaluation, and makes the identity mask and the full swap bit-identical
-to the observed statistic.
+re-evaluation.  In exact arithmetic the identity mask and the full swap tie
+with the observed statistic; a one-row product and the same row inside a
+batch may still differ in the last bits, which the tie guard absorbs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .augment import augment, center
-from .core import GramCache, Sample, build_gram, zeta_hat
+from .core import GramCache, Sample, build_gram, swap_statistic, zeta_hat
 from .rng import RngStream
 
 DEFAULT_B = 500
@@ -90,32 +92,12 @@ def cutoff_bound(n: int, alpha: float) -> float:
 
 def _batch_values(cache: GramCache, bits: np.ndarray) -> np.ndarray:
     """Resampled statistics for a (m, n) array of bit masks."""
-    g = cache.g_matrix()
-    n = cache.n
-    s = 2.0 * bits - 1.0
-    return np.einsum("ij,ij->i", s @ g, s) / (n * (n - 1))
+    return swap_statistic(cache, 2.0 * bits - 1.0)
 
 
 def resample_statistic(cache: GramCache, mask: SwapMask) -> float:
-    """Statistic after swapping pairs per the mask, by cache relabeling only."""
-    n = cache.n
-    bits = mask.bits
-    if bits.shape[0] != n:
-        raise ValueError(f"mask length {bits.shape[0]} != n = {n}")
-    idx = np.arange(n)
-    y = np.where(bits == 1, idx, idx + n)
-    yp = np.where(bits == 1, idx + n, idx)
-    k = cache.k
-    cross = k[np.ix_(y, yp)]
-    g = k[np.ix_(y, y)] + k[np.ix_(yp, yp)] - cross - cross.T
-    np.fill_diagonal(g, 0.0)
-    return float(g.sum()) / (n * (n - 1))
-
-
-def _observed(cache: GramCache) -> float:
-    # observed statistic through the same summation path as the batch values,
-    # so the identity and full-swap masks always tie with it exactly
-    return float(_batch_values(cache, np.ones((1, cache.n)))[0])
+    """Statistic after swapping pairs per the mask."""
+    return swap_statistic(cache, 2.0 * mask.bits - 1.0)
 
 
 def _count_ties_or_exceed(values: np.ndarray, obs: float) -> int:
@@ -132,7 +114,7 @@ def exact_pvalue(cache: GramCache, alpha: float = DEFAULT_ALPHA, enum_limit: int
         raise ValueError(
             f"exact enumeration needs n <= {enum_limit} (2^n resamples); got n = {n}"
         )
-    obs = _observed(cache)
+    obs = swap_statistic(cache, np.ones(n))
     total = 1 << n
     count = 0
     shifts = np.arange(n, dtype=np.uint64)
@@ -142,9 +124,8 @@ def exact_pvalue(cache: GramCache, alpha: float = DEFAULT_ALPHA, enum_limit: int
         values = _batch_values(cache, bits)
         count += _count_ties_or_exceed(values, obs)
     p = count / total
-    stat = float(zeta_hat_from_cache(cache))
     return TestOutcome(
-        statistic=stat,
+        statistic=obs,
         p_value=p,
         method="exact",
         alpha=alpha,
@@ -153,12 +134,6 @@ def exact_pvalue(cache: GramCache, alpha: float = DEFAULT_ALPHA, enum_limit: int
         n=n,
         d=cache.d,
     )
-
-
-def zeta_hat_from_cache(cache: GramCache) -> float:
-    """Observed statistic straight from the cache."""
-    n = cache.n
-    return float(cache.g_matrix().sum()) / (n * (n - 1))
 
 
 def _draw_masks(n: int, B: int, rng: RngStream) -> np.ndarray:
@@ -171,11 +146,11 @@ def mc_pvalue(cache: GramCache, B: int, rng: RngStream, alpha: float = DEFAULT_A
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
     n = cache.n
-    obs = _observed(cache)
+    obs = swap_statistic(cache, np.ones(n))
     values = _batch_values(cache, _draw_masks(n, B, rng))
     p = (_count_ties_or_exceed(values, obs) + 1) / (B + 1)
     return TestOutcome(
-        statistic=zeta_hat_from_cache(cache),
+        statistic=obs,
         p_value=p,
         method="monte-carlo",
         alpha=alpha,

@@ -1,4 +1,4 @@
-"""Kernel evaluation, Gram caching and the pairwise asymmetry statistic.
+"""Kernel evaluation, the pair Gram matrix and the pairwise asymmetry statistic.
 
 The statistic is the average, over all pairs of augmented observations
 (X_i, X'_i), (X_j, X'_j), of the four-term Gaussian-kernel combination
@@ -8,14 +8,19 @@ The statistic is the average, over all pairs of augmented observations
 with K(x, y) = exp(-||x - y||^2 / (2 d)).  The bandwidth is always the data
 dimension d; there is no user-tunable bandwidth.
 
-All kernel values over the 2n concatenated rows (X_1..X_n, X'_1..X'_n) are
-computed once into a dense :class:`GramCache`, so that resampling (see
+The pair values g_ij are computed once into the dense n x n matrix G of a
+:class:`GramCache` (8 n^2 bytes), from three n x n kernel blocks
+K(X, X), K(X', X') and K(X, X').  Summed in the order above, G is bit for bit
+the matrix a full 2n x 2n kernel matrix over the stacked rows would give,
+at a quarter of its memory.  The observed statistic and every swap resample
+are signed quadratic forms in G (:func:`swap_statistic`), so resampling (see
 ``calibrate``) never re-evaluates an exponential.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -103,44 +108,72 @@ def symmetrized_kernel(p1, p2, d: int) -> float:
 
 @dataclass(frozen=True)
 class GramCache:
-    """Dense 2n x 2n kernel matrix over the rows (X_1..X_n, X'_1..X'_n).
+    """Dense n x n matrix G of pair values g_ij, with a zero diagonal.
 
-    Exactly symmetric (upper triangle mirrored), unit diagonal, entries in
-    (0, 1].  Memory is 4 n^2 floats, acceptable for n up to a few thousand.
+    Built by :func:`build_gram`; ``g`` is its only array, 8 n^2 bytes, and is
+    read-only.  G is bit-identical to the matrix derived from a mirrored
+    2n x 2n kernel matrix over (X_1..X_n, X'_1..X'_n) (``tests/oracles.py``
+    keeps that construction as the reference).  It is symmetric to rounding,
+    not bit for bit, and its entries lie in [-2, 2].
     """
 
-    k: np.ndarray
+    g: np.ndarray
     n: int
     d: int
-    _g: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # n x n matrix of pairwise g values, zero diagonal; every resampled
-        # statistic is a signed quadratic form in this matrix.
-        n = self.n
-        k = self.k
-        cross = k[:n, n:]
-        g = k[:n, :n] + k[n:, n:] - cross - cross.T
-        np.fill_diagonal(g, 0.0)
-        object.__setattr__(self, "_g", g)
+        if self.g.shape != (self.n, self.n):
+            raise ValueError(f"Gram matrix shape {self.g.shape} != ({self.n}, {self.n})")
 
     def g_matrix(self) -> np.ndarray:
-        """Pairwise g values g_ij (i != j), zero diagonal. Read-only view."""
-        return self._g
+        """Pairwise g values g_ij (i != j), zero diagonal. Read-only."""
+        return self.g
+
+
+def _physical_memory_bytes() -> int | None:
+    """Physical memory of this machine, or None where the OS does not say."""
+    try:
+        pages = os.sysconf("SC_PHYS_PAGES")
+        page_size = os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    if pages <= 0 or page_size <= 0:
+        return None
+    return pages * page_size
+
+
+def _kernel_block(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
+    # Direct squared differences (not the norm-expansion identity): exact
+    # cancellation for identical rows matters for the g = 0 identities.
+    k = cdist(a, b, "sqeuclidean")
+    k /= -(2.0 * d)
+    return np.exp(k, out=k)
 
 
 def build_gram(aug: AugmentedSample) -> GramCache:
-    """Evaluate the kernel over all pairs of the 2n concatenated rows."""
-    z = np.vstack([aug.original.data, aug.variant])
-    # Direct squared differences (not the norm-expansion identity): exact
-    # cancellation for identical rows matters for the g = 0 identities.
-    sq = cdist(z, z, "sqeuclidean")
-    k = np.exp(-sq / (2.0 * aug.d))
-    # Mirror the upper triangle so symmetry holds bit-for-bit.
-    iu = np.triu_indices(2 * aug.n, k=1)
-    k[(iu[1], iu[0])] = k[iu]
-    np.fill_diagonal(k, 1.0)
-    return GramCache(k=k, n=aug.n, d=aug.d)
+    """Evaluate G = K(X, X) + K(X', X') - E - E^T with E = K(X, X').
+
+    At most two n x n blocks are alive at once; a sample whose blocks would
+    not fit in physical memory is refused before anything is allocated.
+    """
+    n, d = aug.n, aug.d
+    need = 16 * n * n
+    memory = _physical_memory_bytes()
+    if memory is not None and need > memory:
+        raise ValueError(
+            f"the dense Gram matrix for n = {n} needs about {need} bytes, "
+            f"more than the {memory} bytes of physical memory"
+        )
+    x, v = aug.original.data, aug.variant
+    # This summation order keeps G bit-identical to the 2n x 2n derivation.
+    g = _kernel_block(x, x, d)
+    g += _kernel_block(v, v, d)
+    e = _kernel_block(x, v, d)
+    g -= e
+    g -= e.T
+    np.fill_diagonal(g, 0.0)
+    g.flags.writeable = False
+    return GramCache(g=g, n=n, d=d)
 
 
 @dataclass(frozen=True)
@@ -154,14 +187,27 @@ class ZetaEstimate:
             raise ValueError(f"statistic out of range [-2, 2]: {self.value}")
 
 
-def zeta_hat(aug: AugmentedSample, cache: GramCache) -> ZetaEstimate:
-    """U-statistic average of g over all pairs i < j, read from the cache."""
-    n = aug.n
+def swap_statistic(cache: GramCache, signs: np.ndarray):
+    """Statistic s^T G s / (n (n-1)) after the swaps the signs select.
+
+    s_i = +1 keeps pair i and s_i = -1 swaps it, so all ones gives the
+    observed statistic.  ``signs`` is one length-n vector (returns a float)
+    or an (m, n) array of them (returns m values).  Every statistic the
+    package reports, observed or resampled, is computed here.
+    """
+    n = cache.n
     if n < 2:
         raise ValueError("statistic needs at least two observations")
-    if cache.n != n or cache.d != aug.d:
+    s = np.asarray(signs, dtype=float)
+    if s.ndim not in (1, 2) or s.shape[-1] != n:
+        raise ValueError(f"signs of shape {s.shape} do not match n = {n}")
+    rows = np.atleast_2d(s)
+    values = np.einsum("ij,ij->i", rows @ cache.g, rows) / (n * (n - 1))
+    return float(values[0]) if s.ndim == 1 else values
+
+
+def zeta_hat(aug: AugmentedSample, cache: GramCache) -> ZetaEstimate:
+    """U-statistic average of g over all pairs i < j, read from the cache."""
+    if cache.n != aug.n or cache.d != aug.d:
         raise ValueError("cache does not match the augmented sample")
-    g = cache.g_matrix()
-    # g has zero diagonal and is symmetric: sum over all entries = 2 * sum_{i<j}.
-    value = float(g.sum()) / (n * (n - 1))
-    return ZetaEstimate(value=value)
+    return ZetaEstimate(value=swap_statistic(cache, np.ones(aug.n)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 
 def naive_kernel(x, y, d):
@@ -53,6 +54,30 @@ def naive_exact_pvalue(original, variant) -> float:
         if naive_resampled_zeta(original, variant, mask) >= observed - guard:
             count += 1
     return count / (1 << n)
+
+
+def dense_kernel_matrix(original, variant) -> np.ndarray:
+    """2n x 2n kernel matrix over the stacked rows (X_1..X_n, X'_1..X'_n).
+
+    Squared distances by ``cdist`` on the stacked rows, then the upper
+    triangle mirrored so the matrix is symmetric bit for bit, unit diagonal.
+    """
+    z = np.vstack([original, variant])
+    sq = cdist(z, z, "sqeuclidean")
+    k = np.exp(-sq / (2.0 * z.shape[1]))
+    iu = np.triu_indices(z.shape[0], k=1)
+    k[(iu[1], iu[0])] = k[iu]
+    np.fill_diagonal(k, 1.0)
+    return k
+
+
+def g_from_kernel_matrix(k: np.ndarray) -> np.ndarray:
+    """n x n pair matrix g_ij read off a 2n x 2n kernel matrix, zero diagonal."""
+    n = k.shape[0] // 2
+    cross = k[:n, n:]
+    g = k[:n, :n] + k[n:, n:] - cross - cross.T
+    np.fill_diagonal(g, 0.0)
+    return g
 
 
 # --- 2-d Gaussian measure by angle quadrature -----------------------------

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from spheresym import RngStream, Sample, augment, center, sample_unit_sphere, spatial_median
+from spheresym import RngStream, Sample, augment, center, run_test, sample_unit_sphere, spatial_median
 
 
 def test_sphere_point_has_unit_norm():
@@ -117,6 +119,14 @@ def test_center_none_is_identity():
     assert center(s, "none") is s
 
 
+def test_augment_rejects_overflowing_row_norms():
+    s = Sample(np.random.default_rng(11).standard_normal((20, 10)) * 1e160)
+    with pytest.raises(ValueError, match="overflow.*rescale"):
+        augment(s, RngStream(0))
+    with pytest.raises(ValueError, match="overflow.*rescale"):
+        run_test(s, RngStream(0), B=50)
+
+
 def test_center_spatial_median_recenters_shifted_cloud():
     rng = np.random.default_rng(10)
     s = Sample(rng.standard_normal((200, 3)) + np.array([4.0, -1.0, 2.0]))
@@ -129,3 +139,12 @@ def test_center_spatial_median_recenters_shifted_cloud():
 def test_center_unknown_mode():
     with pytest.raises(ValueError):
         center(Sample(np.zeros((2, 2))), "midpoint")
+
+
+def test_center_warns_when_median_not_converged():
+    s = Sample(np.random.default_rng(12).standard_normal((50, 3)) + 5.0)
+    with pytest.warns(RuntimeWarning, match="did not converge in 1 iterations"):
+        center(s, "spatial-median", max_iter=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        center(s, "spatial-median")

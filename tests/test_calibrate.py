@@ -15,9 +15,10 @@ from spheresym import (
     mc_pvalue,
     resample_statistic,
     run_test,
+    swap_statistic,
     zeta_hat,
 )
-from spheresym.calibrate import cutoff_bound, zeta_hat_from_cache
+from spheresym.calibrate import cutoff_bound
 from oracles import naive_exact_pvalue, naive_resampled_zeta
 
 
@@ -184,11 +185,12 @@ def test_observed_statistic_ties_with_identity_mask():
     # guards the tie-counting convention: the enumeration must always count
     # the identity and the full swap
     for seed in range(5):
-        _, cache = _random_cache(seed + 30, n=9)
-        from spheresym.calibrate import _batch_values, _observed
+        aug, cache = _random_cache(seed + 30, n=9)
+        from spheresym.calibrate import _batch_values
 
-        obs = _observed(cache)
+        obs = swap_statistic(cache, np.ones(9))
         ones = _batch_values(cache, np.ones((1, 9)))[0]
         zeros = _batch_values(cache, np.zeros((1, 9)))[0]
         assert obs == ones == zeros
-        assert obs == pytest.approx(zeta_hat_from_cache(cache), abs=1e-14)
+        assert obs == zeta_hat(aug, cache).value
+        assert obs == pytest.approx(float(cache.g_matrix().sum()) / (9 * 8), abs=1e-14)

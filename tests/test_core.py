@@ -15,7 +15,8 @@ from spheresym import (
     symmetrized_kernel,
     zeta_hat,
 )
-from oracles import naive_g, naive_zeta
+from spheresym import core
+from oracles import dense_kernel_matrix, g_from_kernel_matrix, naive_g, naive_zeta
 
 # hand value for the pairs ((1,0),(0,1)) and ((-1,0),(0,-1)) in d=2
 G_HAND = 2.0 * math.exp(-1.0) - 2.0 * math.exp(-0.5)  # ~ -0.477297
@@ -92,28 +93,80 @@ def test_augmented_sample_norm_check():
 def test_build_gram_single_row():
     s = Sample(np.array([[3.0, 4.0]]))
     aug = augment(s, RngStream(0))
-    cache = build_gram(aug)
+    g = build_gram(aug).g_matrix()
+    assert g.shape == (1, 1) and g[0, 0] == 0.0
+    k = dense_kernel_matrix(aug.original.data, aug.variant)
     k01 = kernel(s.data[0], aug.variant[0], 2)
-    assert cache.k.shape == (2, 2)
-    assert cache.k[0, 0] == 1.0 and cache.k[1, 1] == 1.0
-    assert cache.k[0, 1] == cache.k[1, 0] == pytest.approx(k01, abs=1e-15)
+    assert k.shape == (2, 2)
+    assert k[0, 0] == 1.0 and k[1, 1] == 1.0
+    assert k[0, 1] == k[1, 0] == pytest.approx(k01, abs=1e-15)
 
 
 def test_build_gram_identical_rows_all_ones():
     data = np.tile(np.array([1.0, 2.0, 2.0]), (4, 1))
     s = Sample(data)
     aug = AugmentedSample(original=s, variant=data.copy())
-    cache = build_gram(aug)
-    assert np.all(cache.k == 1.0)
+    assert np.all(build_gram(aug).g_matrix() == 0.0)
+    assert np.all(dense_kernel_matrix(data, data) == 1.0)
 
 
 def test_gram_properties_random():
     rng = np.random.default_rng(3)
     s = Sample(rng.standard_normal((15, 4)))
-    cache = build_gram(augment(s, RngStream(5)))
-    assert np.array_equal(cache.k, cache.k.T)
-    assert np.all(np.diag(cache.k) == 1.0)
-    assert np.all(cache.k > 0.0) and np.all(cache.k <= 1.0)
+    aug = augment(s, RngStream(5))
+    cache = build_gram(aug)
+    g = cache.g_matrix()
+    assert np.all(np.diag(g) == 0.0)
+    assert np.allclose(g, g.T, rtol=0.0, atol=1e-15)
+    assert np.all(g >= -2.0) and np.all(g <= 2.0)
+    k = dense_kernel_matrix(aug.original.data, aug.variant)
+    assert np.array_equal(k, k.T)
+    assert np.all(np.diag(k) == 1.0)
+    assert np.all(k > 0.0) and np.all(k <= 1.0)
+
+
+@pytest.mark.parametrize(
+    "n, d, scale",
+    [
+        (1, 1, 1.0),
+        (1, 5, 3.0),
+        (2, 1, 1e-3),
+        (7, 2, 50.0),
+        (30, 10, 1.0),
+        (100, 4, 1e-3),
+        (100, 4, 50.0),
+        (64, 3, "mixed"),
+        (20, 3, "repeated"),
+        (500, 10, 1.0),
+    ],
+)
+def test_build_gram_bit_identical_to_dense_kernel(n, d, scale):
+    gen = np.random.default_rng([n, d])
+    if scale == "repeated":
+        data = np.repeat(gen.standard_normal((n // 4, d)), 4, axis=0)
+    else:
+        data = gen.standard_normal((n, d))
+        # "mixed": columns spanning 1e-3 to 50
+        data *= np.geomspace(1e-3, 50.0, d) if scale == "mixed" else scale
+    aug = augment(Sample(data), RngStream(n, (d,)))
+    cache = build_gram(aug)
+    want = g_from_kernel_matrix(dense_kernel_matrix(aug.original.data, aug.variant))
+    assert np.array_equal(cache.g_matrix(), want)
+    assert not hasattr(cache, "k")
+    assert sum(v.nbytes for v in vars(cache).values() if isinstance(v, np.ndarray)) == 8 * n * n
+    assert not cache.g_matrix().flags.writeable
+
+
+def test_build_gram_refuses_more_than_physical_memory(monkeypatch):
+    aug = augment(Sample(np.random.default_rng(9).standard_normal((10, 2))), RngStream(9))
+    need = 16 * 10 * 10
+    monkeypatch.setattr(core, "_physical_memory_bytes", lambda: need - 1)
+    with pytest.raises(ValueError, match=f"n = 10 needs about {need} bytes"):
+        build_gram(aug)
+    monkeypatch.setattr(core, "_physical_memory_bytes", lambda: need)
+    assert build_gram(aug).n == 10
+    monkeypatch.setattr(core, "_physical_memory_bytes", lambda: None)
+    assert build_gram(aug).n == 10
 
 
 def test_zeta_hat_n2_hand_value():
