@@ -8,11 +8,13 @@ signed quadratic form
     zeta_hat(pi) = s^T G s / (n (n-1)),   s_i = 2 pi_i - 1 in {+1, -1},
 
 where G is the cached n x n matrix of pairwise g values.  The observed value
-and every resample go through ``core.swap_statistic``.  This turns every
-resample into a matrix product over cached entries with zero kernel
-re-evaluation.  In exact arithmetic the identity mask and the full swap tie
-with the observed statistic; a one-row product and the same row inside a
-batch may still differ in the last bits, which the tie guard absorbs.
+and every Monte Carlo resample go through ``core.swap_statistic``; the exact
+enumeration assembles the same quadratic forms from two half-tables of sign
+vectors (``exact_pvalue``).  Either way a resample is a matrix product over
+cached entries with zero kernel re-evaluation.  In exact arithmetic the
+identity mask and the full swap tie with the observed statistic; differently
+ordered sums of the same value may still differ in the last bits, which the
+tie guard absorbs.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .rng import RngStream
 
 DEFAULT_B = 500
 DEFAULT_ALPHA = 0.05
-ENUM_LIMIT = 20
-_CHUNK = 1 << 15
+ENUM_LIMIT = 26
+_TILE_BYTES = 1 << 20  # per-tile memory of the exact enumeration
 
 
 @dataclass(frozen=True)
@@ -90,11 +92,6 @@ def cutoff_bound(n: int, alpha: float) -> float:
     return 2.0 / (alpha * (n - 1))
 
 
-def _batch_values(cache: GramCache, bits: np.ndarray) -> np.ndarray:
-    """Resampled statistics for a (m, n) array of bit masks."""
-    return swap_statistic(cache, 2.0 * bits - 1.0)
-
-
 def resample_statistic(cache: GramCache, mask: SwapMask) -> float:
     """Statistic after swapping pairs per the mask."""
     return swap_statistic(cache, 2.0 * mask.bits - 1.0)
@@ -107,23 +104,54 @@ def _count_ties_or_exceed(values: np.ndarray, obs: float) -> int:
     return int((values >= obs - guard).sum())
 
 
+def _sign_table(k: int) -> np.ndarray:
+    """All 2^k sign vectors of length k, one per row; row r has s_j = -1 where bit j of r is set."""
+    codes = np.arange(1 << k)[:, None]
+    return 1.0 - 2.0 * ((codes >> np.arange(k)) & 1)
+
+
 def exact_pvalue(cache: GramCache, alpha: float = DEFAULT_ALPHA, enum_limit: int = ENUM_LIMIT) -> TestOutcome:
-    """p-value by full enumeration of all 2^n masks."""
+    """p-value by full enumeration of all 2^n masks, met in the middle.
+
+    Since value(s) = value(-s), only the 2^(n-1) masks that keep one pair are
+    evaluated, each counted twice.  The indices split into halves A (holding
+    the kept pair) and B, and
+
+        s^T G s = qA[a] + qB[b] + sA^T (G_AB + G_BA^T) sB,
+
+    where qA, qB are the quadratic forms over the half-tables of sign vectors.
+    All 2^(n-1) values are therefore the products of one left factor
+    [S_A | qA] (2^(|A|-1) rows) with one right factor (2^|B| columns), taken in
+    tiles of whole rows of at most ``_TILE_BYTES``, then normalised and
+    counted tile by tile.
+    """
     n = cache.n
     if n > enum_limit:
         raise ValueError(
             f"exact enumeration needs n <= {enum_limit} (2^n resamples); got n = {n}"
         )
     obs = swap_statistic(cache, np.ones(n))
-    total = 1 << n
+    g = cache.g
+    a = (n + 1) // 2  # A = pairs 0..a-1, B = pairs a..n-1
+    # the top bit is clear in the first half of the table: pair a-1 is kept
+    sa = _sign_table(a)[: 1 << (a - 1)]
+    sb = _sign_table(n - a)
+    qa = np.einsum("ij,ij->i", sa @ g[:a, :a], sa)
+    qb = np.einsum("ij,ij->i", sb @ g[a:, a:], sb)
+    left = np.hstack([sa, qa[:, None]])
+    right = np.vstack([(g[:a, a:] + g[a:, :a].T) @ sb.T, np.ones(len(sb))])
+    # column a-1 of sa is all ones, so row a-1 of the right factor adds qB
+    right[a - 1] += qb
+    # a tile holds 8-byte values plus their 1-byte comparison mask; at
+    # n = 26 one row takes 9 * 2^13 bytes, well inside the budget
+    rows = max(1, _TILE_BYTES // (9 * right.shape[1]))
+    norm = n * (n - 1)
     count = 0
-    shifts = np.arange(n, dtype=np.uint64)
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
-        bits = ((idx[:, None] >> shifts) & 1).astype(float)
-        values = _batch_values(cache, bits)
+    for r0 in range(0, len(left), rows):
+        values = left[r0:r0 + rows] @ right
+        values /= norm
         count += _count_ties_or_exceed(values, obs)
-    p = count / total
+    p = 2 * count / (1 << n)
     return TestOutcome(
         statistic=obs,
         p_value=p,
@@ -136,9 +164,19 @@ def exact_pvalue(cache: GramCache, alpha: float = DEFAULT_ALPHA, enum_limit: int
     )
 
 
-def _draw_masks(n: int, B: int, rng: RngStream) -> np.ndarray:
-    # i.i.d. uniform masks; repeats and the identity mask are allowed
-    return rng.generator().integers(0, 2, size=(B, n)).astype(float)
+def _draw_signs(n: int, B: int, rng: RngStream) -> np.ndarray:
+    """B i.i.d. uniform masks as (B, n) float signs s = 2 * bit - 1.
+
+    Repeats and the identity mask are allowed.  The int64 draw is rewritten
+    in its own buffer: +1.0 and -1.0 differ only in the IEEE-754 sign bit,
+    which is set where the bit is 0.
+    """
+    bits = rng.generator().integers(0, 2, size=(B, n))
+    word = bits.view(np.uint64)
+    word ^= 1
+    word <<= 63
+    word |= np.float64(1.0).view(np.uint64)
+    return bits.view(np.float64)
 
 
 def mc_pvalue(cache: GramCache, B: int, rng: RngStream, alpha: float = DEFAULT_ALPHA) -> TestOutcome:
@@ -147,7 +185,7 @@ def mc_pvalue(cache: GramCache, B: int, rng: RngStream, alpha: float = DEFAULT_A
         raise ValueError(f"B must be >= 1, got {B}")
     n = cache.n
     obs = swap_statistic(cache, np.ones(n))
-    values = _batch_values(cache, _draw_masks(n, B, rng))
+    values = swap_statistic(cache, _draw_signs(n, B, rng))
     p = (_count_ties_or_exceed(values, obs) + 1) / (B + 1)
     return TestOutcome(
         statistic=obs,
@@ -173,7 +211,7 @@ def critical_value(cache: GramCache, alpha: float, B: int, rng: RngStream) -> fl
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
-    values = np.sort(_batch_values(cache, _draw_masks(cache.n, B, rng)))
+    values = np.sort(swap_statistic(cache, _draw_signs(cache.n, B, rng)))
     # smallest t with empirical cdf >= 1 - alpha
     rank = int(np.ceil(B * (1.0 - alpha)))
     rank = max(rank, 1)

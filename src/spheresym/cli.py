@@ -13,12 +13,15 @@ Exit codes: 0 success, 1 runtime/IO failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from .calibrate import DEFAULT_ALPHA, DEFAULT_B, run_test
+from .calibrate import DEFAULT_ALPHA, DEFAULT_B, ENUM_LIMIT, run_test
 from .core import Sample
 from .experiments import (
     load_csv_matrix,
@@ -41,7 +44,8 @@ def _add_common_test_flags(p: argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spheresym", description=__doc__)
     parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS threads (results never depend on this)")
+                        help="number of BLAS threads numpy uses during the command "
+                             "(needs threadpoolctl or numpy's bundled OpenBLAS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("test", help="test a CSV of observations for spherical symmetry")
@@ -49,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--header", action="store_true", help="skip a header row")
     _add_common_test_flags(p)
     p.add_argument("--center", choices=["none", "spatial-median"], default="none")
-    p.add_argument("--exact", action="store_true", help="enumerate all 2^n swaps (n <= 20)")
+    p.add_argument("--exact", action="store_true",
+                   help=f"enumerate all 2^n swaps (n <= {ENUM_LIMIT})")
     p.add_argument("--output", help="write the outcome as JSON to this path")
 
     p = sub.add_parser("zeta-gaussian", help="measure value for a centered Gaussian")
@@ -80,17 +85,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _limit_threads(threads):
-    if threads is None:
-        return
-    if threads < 1:
-        raise SystemExit(2)
+def _openblas_thread_controls():
+    """(get, set) thread-count entry points of the OpenBLAS bundled with numpy, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))  # the copy numpy already loaded
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            get = getattr(lib, f"{prefix}_get_num_threads64_", None)
+            put = getattr(lib, f"{prefix}_set_num_threads64_", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _openblas_limit(threads, get, put):
+    before = get()
+    put(threads)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def _thread_limit(threads):
+    """Context manager holding numpy's BLAS at ``threads`` threads; None if nothing can."""
     try:
         from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=threads)
     except ImportError:
-        pass
+        controls = _openblas_thread_controls()
+        return None if controls is None else _openblas_limit(threads, *controls)
+    return threadpool_limits(limits=threads)
 
 
 def _print_records(records):
@@ -222,12 +252,21 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _limit_threads(args.threads)
-    try:
-        return _COMMANDS[args.command](args)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    limit = contextlib.nullcontext()
+    if args.threads is not None:
+        if args.threads < 1:
+            parser.error(f"--threads must be >= 1, got {args.threads}")
+        limit = _thread_limit(args.threads)
+        if limit is None:
+            print("error: --threads needs threadpoolctl or the OpenBLAS bundled with numpy; "
+                  "found neither", file=sys.stderr)
+            return 2
+    with limit:
+        try:
+            return _COMMANDS[args.command](args)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

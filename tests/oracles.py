@@ -3,7 +3,9 @@
 Everything here is deliberately naive: statistics are recomputed from raw
 exponentials with double loops, resamples rebuild the swapped dataset from
 scratch, and the 2-d rotation integrals use composite Simpson quadrature.
-Nothing imports the fast paths it is meant to check.
+Nothing imports the fast paths it is meant to check; ``direct_exact_pvalue``
+checks only the enumeration of ``calibrate.exact_pvalue`` and so evaluates
+each mask through ``core.swap_statistic``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import math
 
 import numpy as np
 from scipy.spatial.distance import cdist
+
+from spheresym.core import swap_statistic
 
 
 def naive_kernel(x, y, d):
@@ -54,6 +58,27 @@ def naive_exact_pvalue(original, variant) -> float:
         if naive_resampled_zeta(original, variant, mask) >= observed - guard:
             count += 1
     return count / (1 << n)
+
+
+def direct_exact_pvalue(cache) -> float:
+    """Exact p-value from all 2^n masks, each value s^T G s / (n(n-1)) on its own.
+
+    Masks are taken in chunks of 2^15 consecutive codes; each chunk is one
+    batch through ``core.swap_statistic``, compared with the same guarded
+    ">=" rule as ``naive_exact_pvalue``.
+    """
+    n = cache.n
+    chunk = 1 << 15
+    observed = swap_statistic(cache, np.ones(n))
+    guard = 1e-12 * max(1.0, abs(observed))
+    total = 1 << n
+    count = 0
+    shifts = np.arange(n, dtype=np.uint64)
+    for start in range(0, total, chunk):
+        codes = np.arange(start, min(start + chunk, total), dtype=np.uint64)
+        signs = 2.0 * ((codes[:, None] >> shifts) & 1) - 1.0
+        count += int((swap_statistic(cache, signs) >= observed - guard).sum())
+    return count / total
 
 
 def dense_kernel_matrix(original, variant) -> np.ndarray:

@@ -18,8 +18,9 @@ from spheresym import (
     swap_statistic,
     zeta_hat,
 )
-from spheresym.calibrate import cutoff_bound
-from oracles import naive_exact_pvalue, naive_resampled_zeta
+from spheresym import calibrate
+from spheresym.calibrate import ENUM_LIMIT, cutoff_bound
+from oracles import direct_exact_pvalue, naive_exact_pvalue, naive_resampled_zeta
 
 
 def _random_cache(seed, n=10, d=3):
@@ -98,9 +99,65 @@ def test_exact_pvalue_matches_naive_enumeration():
 
 
 def test_exact_pvalue_refuses_large_n():
-    _, cache = _random_cache(8, n=22)
-    with pytest.raises(ValueError, match="20"):
+    _, cache = _random_cache(8, n=ENUM_LIMIT + 1)
+    with pytest.raises(ValueError, match=f"n <= {ENUM_LIMIT} "):
         exact_pvalue(cache)
+
+
+def _structured_cache(seed, n, d, rows):
+    """Cache whose data has structural ties: repeated rows or a zero row."""
+    x = np.random.default_rng(seed).standard_normal((n, d))
+    if rows == "repeated":
+        x[1] = x[0]
+        x[n - 1] = x[0]
+    else:
+        x[n // 2] = 0.0
+    return build_gram(augment(Sample(x), RngStream(seed, (1,))))
+
+
+_EXACT_CASES = [(n, d, None) for n in (2, 3, 5, 8, 11, 16) for d in (1, 2, 10)] + [
+    (8, 2, "repeated"), (11, 10, "repeated"), (5, 1, "zero"), (11, 2, "zero"),
+]
+
+
+@pytest.mark.parametrize("seed, n, d, rows", [(40 + i, *case) for i, case in enumerate(_EXACT_CASES)])
+def test_exact_pvalue_equals_direct_enumeration(seed, n, d, rows):
+    cache = _random_cache(seed, n=n, d=d)[1] if rows is None else _structured_cache(seed, n, d, rows)
+    assert exact_pvalue(cache).p_value == direct_exact_pvalue(cache)
+
+
+def _record_tiles(monkeypatch):
+    """Collect the shape of every tile the exact enumeration counts."""
+    shapes = []
+    count = calibrate._count_ties_or_exceed
+
+    def recording(values, obs):
+        shapes.append(values.shape)
+        return count(values, obs)
+
+    monkeypatch.setattr(calibrate, "_count_ties_or_exceed", recording)
+    return shapes
+
+
+def test_exact_pvalue_independent_of_tile_budget(monkeypatch):
+    _, cache = _random_cache(16, n=16, d=2)
+    want = exact_pvalue(cache).p_value
+    monkeypatch.setattr(calibrate, "_TILE_BYTES", 4096)
+    shapes = _record_tiles(monkeypatch)
+    assert exact_pvalue(cache).p_value == want
+    assert len(shapes) > 1
+    assert all(9 * r * c <= 4096 for r, c in shapes)
+    assert sum(r * c for r, c in shapes) == 1 << 15
+
+
+def test_exact_pvalue_at_enum_limit_within_tile_budget(monkeypatch):
+    _, cache = _random_cache(17, n=ENUM_LIMIT, d=10)
+    shapes = _record_tiles(monkeypatch)
+    out = exact_pvalue(cache)
+    assert all(9 * r * c <= calibrate._TILE_BYTES for r, c in shapes)
+    assert sum(r * c for r, c in shapes) == 1 << (ENUM_LIMIT - 1)
+    k = out.p_value * (1 << ENUM_LIMIT)
+    assert k == int(k) and k % 2 == 0 and k >= 2
 
 
 def test_mc_pvalue_bounds_and_grid():
@@ -120,6 +177,15 @@ def test_mc_pvalue_is_one_for_degenerate_pairs():
     assert out.p_value == 1.0
 
 
+def test_draw_signs_are_the_mask_stream_as_signs():
+    from spheresym.calibrate import _draw_signs
+
+    bits = RngStream(5, (2,)).generator().integers(0, 2, size=(70, 33))
+    signs = _draw_signs(33, 70, RngStream(5, (2,)))
+    assert signs.dtype == np.float64
+    assert np.array_equal(signs, 2.0 * bits - 1.0)
+
+
 def test_mc_pvalue_deterministic_and_validates_B():
     _, cache = _random_cache(11)
     a = mc_pvalue(cache, 50, RngStream(5))
@@ -133,9 +199,9 @@ def test_mc_pvalue_monotone_in_statistic():
     # with the resample pool held fixed, a larger observed value can only
     # lower the exceedance count
     _, cache = _random_cache(12, n=15)
-    from spheresym.calibrate import _batch_values, _draw_masks
+    from spheresym.calibrate import _draw_signs
 
-    values = _batch_values(cache, _draw_masks(15, 200, RngStream(6)))
+    values = swap_statistic(cache, _draw_signs(15, 200, RngStream(6)))
     stats = np.sort(values)[[20, 100, 180]]
     ps = [(int((values >= s).sum()) + 1) / 201 for s in stats]
     assert ps[0] >= ps[1] >= ps[2]
@@ -143,9 +209,9 @@ def test_mc_pvalue_monotone_in_statistic():
 
 def test_critical_value_quantile_and_bound():
     _, cache = _random_cache(13, n=21)
-    from spheresym.calibrate import _batch_values, _draw_masks
+    from spheresym.calibrate import _draw_signs
 
-    values = _batch_values(cache, _draw_masks(21, 400, RngStream(7)))
+    values = swap_statistic(cache, _draw_signs(21, 400, RngStream(7)))
     got = critical_value(cache, 0.05, 400, RngStream(7))
     rank = math.ceil(400 * 0.95) - 1
     assert got == np.sort(values)[rank]
@@ -186,11 +252,9 @@ def test_observed_statistic_ties_with_identity_mask():
     # the identity and the full swap
     for seed in range(5):
         aug, cache = _random_cache(seed + 30, n=9)
-        from spheresym.calibrate import _batch_values
-
         obs = swap_statistic(cache, np.ones(9))
-        ones = _batch_values(cache, np.ones((1, 9)))[0]
-        zeros = _batch_values(cache, np.zeros((1, 9)))[0]
+        ones = swap_statistic(cache, np.ones((1, 9)))[0]
+        zeros = swap_statistic(cache, -np.ones((1, 9)))[0]
         assert obs == ones == zeros
         assert obs == zeta_hat(aug, cache).value
         assert obs == pytest.approx(float(cache.g_matrix().sum()) / (9 * 8), abs=1e-14)

@@ -1,8 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from spheresym import cli
 from spheresym.cli import main
 
 
@@ -143,3 +145,37 @@ def test_threads_flag_validates(tmp_path):
         main(["--threads", "0", "test", "--input", str(path)])
     assert exc.value.code == 2
     assert main(["--threads", "1", "test", "--input", str(path), "--B", "20"]) == 0
+
+
+def test_threads_without_any_thread_control_exits_2(tmp_path, monkeypatch, capsys):
+    path = _write_data(tmp_path, seed=8)
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    monkeypatch.setattr(cli, "_openblas_thread_controls", lambda: None)
+    assert main(["--threads", "1", "test", "--input", str(path), "--B", "20"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --threads needs threadpoolctl")
+    assert len(err.splitlines()) == 1
+
+
+def test_threads_holds_openblas_for_the_command(tmp_path, monkeypatch):
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # use numpy's OpenBLAS directly
+    controls = cli._openblas_thread_controls()
+    if controls is None:
+        pytest.skip("numpy has no bundled OpenBLAS here")
+    get, _ = controls
+    before, seen = get(), []
+    want = 2 if before == 1 else 1
+    monkeypatch.setitem(cli._COMMANDS, "test", lambda args: seen.append(get()) or 0)
+    path = _write_data(tmp_path, seed=8)
+    assert main(["--threads", str(want), "test", "--input", str(path)]) == 0
+    assert seen == [want]
+    assert get() == before
+
+
+def test_exact_help_states_enum_limit(monkeypatch, capsys):
+    from spheresym.calibrate import ENUM_LIMIT
+
+    monkeypatch.setenv("COLUMNS", "200")  # keep the help line unwrapped
+    with pytest.raises(SystemExit):
+        main(["test", "--help"])
+    assert f"(n <= {ENUM_LIMIT})" in capsys.readouterr().out
