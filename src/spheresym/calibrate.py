@@ -10,11 +10,10 @@ signed quadratic form
 where G is the cached n x n matrix of pairwise g values.  The observed value
 and every Monte Carlo resample go through ``core.swap_statistic``; the exact
 enumeration assembles the same quadratic forms from two half-tables of sign
-vectors (``exact_pvalue``).  Either way a resample is a matrix product over
-cached entries with zero kernel re-evaluation.  In exact arithmetic the
-identity mask and the full swap tie with the observed statistic; differently
-ordered sums of the same value may still differ in the last bits, which the
-tie guard absorbs.
+vectors (``exact_pvalue``).  Either way a resample reuses cached entries with
+zero kernel re-evaluation.  In exact arithmetic the identity mask and the
+full swap tie with the observed statistic; differently ordered sums of the
+same value may still differ in the last bits, which the tie guard absorbs.
 """
 
 from __future__ import annotations
@@ -101,13 +100,35 @@ def _count_ties_or_exceed(values: np.ndarray, obs: float) -> int:
     # ">=" in exact arithmetic; the guard absorbs accumulation-order noise so
     # structural ties (identity mask, full swap) are never lost to the last bit
     guard = 1e-12 * max(1.0, abs(obs))
-    return int((values >= obs - guard).sum())
+    return int(np.count_nonzero(values >= obs - guard))
 
 
 def _sign_table(k: int) -> np.ndarray:
     """All 2^k sign vectors of length k, one per row; row r has s_j = -1 where bit j of r is set."""
     codes = np.arange(1 << k)[:, None]
     return 1.0 - 2.0 * ((codes >> np.arange(k)) & 1)
+
+
+def _signed_sums(w: np.ndarray) -> np.ndarray:
+    """sum_j s_j w[j] for every sign row s of ``_sign_table(len(w))``, one per row.
+
+    Built by doubling: the rows with bit j set are the rows without it,
+    minus 2 w[j].  One add per entry, no matrix product.
+    """
+    out = np.empty((1 << len(w), w.shape[1]))
+    out[0] = w.sum(axis=0)
+    for j in range(len(w)):
+        np.subtract(out[: 1 << j], 2.0 * w[j], out=out[1 << j: 2 << j])
+    return out
+
+
+def _branch_sums(w: np.ndarray, base: np.ndarray):
+    """Yield base + sum_j s_j w[j] for the sign rows of ``_sign_table(len(w))``, in row order."""
+    if len(w) == 0:
+        yield base
+        return
+    yield from _branch_sums(w[:-1], base + w[-1])
+    yield from _branch_sums(w[:-1], base - w[-1])
 
 
 def exact_pvalue(cache: GramCache, alpha: float = DEFAULT_ALPHA, enum_limit: int = ENUM_LIMIT) -> TestOutcome:
@@ -117,13 +138,16 @@ def exact_pvalue(cache: GramCache, alpha: float = DEFAULT_ALPHA, enum_limit: int
     evaluated, each counted twice.  The indices split into halves A (holding
     the kept pair) and B, and
 
-        s^T G s = qA[a] + qB[b] + sA^T (G_AB + G_BA^T) sB,
+        s^T G s = qA[a] + qB[b] + sA^T W[:, b],   W = (G_AB + G_BA^T) S_B^T,
 
     where qA, qB are the quadratic forms over the half-tables of sign vectors.
-    All 2^(n-1) values are therefore the products of one left factor
-    [S_A | qA] (2^(|A|-1) rows) with one right factor (2^|B| columns), taken in
-    tiles of whole rows of at most ``_TILE_BYTES``, then normalised and
-    counted tile by tile.
+    The cross terms sA^T W for all sA are signed sums of the rows of W: the
+    low pairs of A are summed by doubling into one tile of at most
+    ``_TILE_BYTES``, the high pairs give one row offset per tile.  Each value
+    then costs a few elementwise adds.  There is no matrix product, so no
+    BLAS threads: a thread that waits for a busy CPU would stall the whole
+    product, and the run time would follow the machine's other load.  Tiles
+    are normalised and counted one by one.
     """
     n = cache.n
     if n > enum_limit:
@@ -132,25 +156,25 @@ def exact_pvalue(cache: GramCache, alpha: float = DEFAULT_ALPHA, enum_limit: int
         )
     obs = swap_statistic(cache, np.ones(n))
     g = cache.g
-    a = (n + 1) // 2  # A = pairs 0..a-1, B = pairs a..n-1
-    # the top bit is clear in the first half of the table: pair a-1 is kept
-    sa = _sign_table(a)[: 1 << (a - 1)]
-    sb = _sign_table(n - a)
-    qa = np.einsum("ij,ij->i", sa @ g[:a, :a], sa)
-    qb = np.einsum("ij,ij->i", sb @ g[a:, a:], sb)
-    left = np.hstack([sa, qa[:, None]])
-    right = np.vstack([(g[:a, a:] + g[a:, :a].T) @ sb.T, np.ones(len(sb))])
-    # column a-1 of sa is all ones, so row a-1 of the right factor adds qB
-    right[a - 1] += qb
-    # a tile holds 8-byte values plus their 1-byte comparison mask; at
-    # n = 26 one row takes 9 * 2^13 bytes, well inside the budget
-    rows = max(1, _TILE_BYTES // (9 * right.shape[1]))
+    a = (n + 1) // 2  # A = pairs 0..a-1, B = pairs a..n-1; pair a-1 is kept
+    half = 1 << (a - 1)  # the rows of A's sign table that keep pair a-1
+    # G s for every half sign vector s, then s^T (G s)
+    qa = np.einsum("ij,ij->i", _signed_sums(g[:a, :a].T)[:half], _sign_table(a)[:half])
+    qb = np.einsum("ij,ij->i", _signed_sums(g[a:, a:].T), _sign_table(n - a))
+    w = np.ascontiguousarray(_signed_sums((g[:a, a:] + g[a:, :a].T).T).T)
+    # a tile holds 8-byte values plus their 1-byte comparison mask
+    fit = max(1, _TILE_BYTES // (9 * w.shape[1]))
+    low = min(a - 1, fit.bit_length() - 1)  # pairs 0..low-1 vary inside a tile
+    rows = 1 << low
+    cross = _signed_sums(w[:low])
+    tile = np.empty_like(cross)
     norm = n * (n - 1)
     count = 0
-    for r0 in range(0, len(left), rows):
-        values = left[r0:r0 + rows] @ right
-        values /= norm
-        count += _count_ties_or_exceed(values, obs)
+    for h, offset in enumerate(_branch_sums(w[low:a - 1], w[a - 1] + qb)):
+        np.add(cross, offset, out=tile)
+        tile += qa[h * rows:(h + 1) * rows, None]
+        tile /= norm
+        count += _count_ties_or_exceed(tile, obs)
     p = 2 * count / (1 << n)
     return TestOutcome(
         statistic=obs,

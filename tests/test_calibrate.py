@@ -126,6 +126,16 @@ def test_exact_pvalue_equals_direct_enumeration(seed, n, d, rows):
     assert exact_pvalue(cache).p_value == direct_exact_pvalue(cache)
 
 
+@pytest.mark.parametrize("k", [0, 1, 4, 7])
+def test_signed_sums_match_sign_table_product(k):
+    w = np.random.default_rng(k).standard_normal((k, 5))
+    want = calibrate._sign_table(k) @ w
+    np.testing.assert_allclose(calibrate._signed_sums(w), want, rtol=0, atol=1e-13)
+    base = np.random.default_rng(k + 1).standard_normal(5)
+    branches = np.array(list(calibrate._branch_sums(w, base)))
+    np.testing.assert_allclose(branches, want + base, rtol=0, atol=1e-13)
+
+
 def _record_tiles(monkeypatch):
     """Collect the shape of every tile the exact enumeration counts."""
     shapes = []
