@@ -2,12 +2,10 @@
 
 from .augment import augment, center, sample_unit_sphere, spatial_median
 from .calibrate import (
-    SwapMask,
     TestOutcome,
     critical_value,
     exact_pvalue,
     mc_pvalue,
-    resample_statistic,
     run_test,
 )
 from .core import (
@@ -16,9 +14,7 @@ from .core import (
     Sample,
     ZetaEstimate,
     build_gram,
-    kernel,
     swap_statistic,
-    symmetrized_kernel,
     zeta_hat,
 )
 from .oracle import CovSpec, HaarConfig, gaussian_pair_term, gaussian_zeta, mc_zeta, sample_haar_orthogonal
@@ -31,7 +27,6 @@ __all__ = [
     "HaarConfig",
     "RngStream",
     "Sample",
-    "SwapMask",
     "TestOutcome",
     "ZetaEstimate",
     "augment",
@@ -41,15 +36,12 @@ __all__ = [
     "exact_pvalue",
     "gaussian_pair_term",
     "gaussian_zeta",
-    "kernel",
     "mc_pvalue",
     "mc_zeta",
-    "resample_statistic",
     "run_test",
     "sample_haar_orthogonal",
     "sample_unit_sphere",
     "spatial_median",
     "swap_statistic",
-    "symmetrized_kernel",
     "zeta_hat",
 ]

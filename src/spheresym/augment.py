@@ -15,6 +15,8 @@ import numpy as np
 from .core import AugmentedSample, Sample
 from .rng import RngStream
 
+CENTER_MODES = ("none", "spatial-median")
+
 # A Gaussian draw with norm below this is redrawn; the event has negligible
 # probability but must not produce NaN after normalization.
 _MIN_NORM = 1e-300
@@ -24,12 +26,7 @@ def sample_unit_sphere(d: int, rng: RngStream) -> np.ndarray:
     """One uniform draw from the surface of the unit sphere in R^d."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    gen = rng.generator()
-    while True:
-        z = gen.standard_normal(d)
-        norm = np.linalg.norm(z)
-        if norm > _MIN_NORM:
-            return z / norm
+    return _unit_rows(1, d, rng.generator())[0]
 
 
 def _unit_rows(n: int, d: int, gen: np.random.Generator) -> np.ndarray:

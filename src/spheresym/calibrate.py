@@ -1,19 +1,20 @@
 """Swap-resampling calibration: resampled statistics, p-values, decisions.
 
-A resample is indexed by a bit mask pi in {0,1}^n: bit 1 keeps the pair
-(X_i, X'_i) as is, bit 0 swaps it.  Because the pair kernel g changes sign
+A resample is a sign vector s in {+1, -1}^n: s_i = +1 keeps the pair
+(X_i, X'_i) as is, s_i = -1 swaps it.  Because the pair kernel g changes sign
 when exactly one of its two pairs is swapped, the resampled statistic is the
 signed quadratic form
 
-    zeta_hat(pi) = s^T G s / (n (n-1)),   s_i = 2 pi_i - 1 in {+1, -1},
+    zeta_hat(s) = s^T G s / (n (n-1)),
 
-where G is the cached n x n matrix of pairwise g values.  The observed value
-and every Monte Carlo resample go through ``core.swap_statistic``; the exact
-enumeration assembles the same quadratic forms from two half-tables of sign
-vectors (``exact_pvalue``).  Either way a resample reuses cached entries with
-zero kernel re-evaluation.  In exact arithmetic the identity mask and the
-full swap tie with the observed statistic; differently ordered sums of the
-same value may still differ in the last bits, which the tie guard absorbs.
+where G is the cached n x n matrix of pairwise g values; s and its complement
+-s give the same value.  The observed value and every Monte Carlo resample go
+through ``core.swap_statistic``; the exact enumeration assembles the same
+quadratic forms from two half-tables of sign vectors (``exact_pvalue``).
+Either way a resample reuses cached entries with zero kernel re-evaluation.
+In exact arithmetic the all-ones vector and the full swap tie with the
+observed statistic; differently ordered sums of the same value may still
+differ in the last bits, which the tie guard absorbs.
 """
 
 from __future__ import annotations
@@ -30,24 +31,6 @@ DEFAULT_B = 500
 DEFAULT_ALPHA = 0.05
 ENUM_LIMIT = 26
 _TILE_BYTES = 1 << 20  # per-tile memory of the exact enumeration
-
-
-@dataclass(frozen=True)
-class SwapMask:
-    """A length-n bit vector selecting per-index swaps."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits)
-        if bits.ndim != 1:
-            raise ValueError("mask must be one-dimensional")
-        if not np.isin(bits, (0, 1)).all():
-            raise ValueError("mask entries must be 0 or 1")
-        object.__setattr__(self, "bits", bits.astype(np.int8))
-
-    def complement(self) -> "SwapMask":
-        return SwapMask(1 - self.bits)
 
 
 @dataclass(frozen=True)
@@ -91,11 +74,6 @@ def cutoff_bound(n: int, alpha: float) -> float:
     return 2.0 / (alpha * (n - 1))
 
 
-def resample_statistic(cache: GramCache, mask: SwapMask) -> float:
-    """Statistic after swapping pairs per the mask."""
-    return swap_statistic(cache, 2.0 * mask.bits - 1.0)
-
-
 def _count_ties_or_exceed(values: np.ndarray, obs: float) -> int:
     # ">=" in exact arithmetic; the guard absorbs accumulation-order noise so
     # structural ties (identity mask, full swap) are never lost to the last bit
@@ -131,7 +109,7 @@ def _branch_sums(w: np.ndarray, base: np.ndarray):
     yield from _branch_sums(w[:-1], base - w[-1])
 
 
-def exact_pvalue(cache: GramCache, alpha: float = DEFAULT_ALPHA, enum_limit: int = ENUM_LIMIT) -> TestOutcome:
+def exact_pvalue(cache: GramCache, alpha: float = DEFAULT_ALPHA) -> TestOutcome:
     """p-value by full enumeration of all 2^n masks, met in the middle.
 
     Since value(s) = value(-s), only the 2^(n-1) masks that keep one pair are
@@ -150,9 +128,9 @@ def exact_pvalue(cache: GramCache, alpha: float = DEFAULT_ALPHA, enum_limit: int
     are normalised and counted one by one.
     """
     n = cache.n
-    if n > enum_limit:
+    if n > ENUM_LIMIT:
         raise ValueError(
-            f"exact enumeration needs n <= {enum_limit} (2^n resamples); got n = {n}"
+            f"exact enumeration needs n <= {ENUM_LIMIT} (2^n resamples); got n = {n}"
         )
     obs = swap_statistic(cache, np.ones(n))
     g = cache.g
@@ -249,7 +227,6 @@ def run_test(
     B: int = DEFAULT_B,
     center_mode: str = "none",
     exact: bool = False,
-    enum_limit: int = ENUM_LIMIT,
 ) -> TestOutcome:
     """Full pipeline: center, augment, cache, statistic, calibrated decision."""
     if sample.n < 2:
@@ -259,7 +236,7 @@ def run_test(
     cache = build_gram(aug)
     zeta_hat(aug, cache)  # validates and bounds the statistic
     if exact:
-        outcome = exact_pvalue(cache, alpha=alpha, enum_limit=enum_limit)
+        outcome = exact_pvalue(cache, alpha=alpha)
     else:
         outcome = mc_pvalue(cache, B, rng.child(1), alpha=alpha)
     return replace(outcome, seed=rng.seed, center=center_mode)

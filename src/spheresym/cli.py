@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .augment import CENTER_MODES
 from .calibrate import DEFAULT_ALPHA, DEFAULT_B, ENUM_LIMIT, run_test
 from .core import Sample
 from .experiments import (
@@ -52,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="CSV file, rows = observations")
     p.add_argument("--header", action="store_true", help="skip a header row")
     _add_common_test_flags(p)
-    p.add_argument("--center", choices=["none", "spatial-median"], default="none")
+    p.add_argument("--center", choices=CENTER_MODES, default="none")
     p.add_argument("--exact", action="store_true",
                    help=f"enumerate all 2^n swaps (n <= {ENUM_LIMIT})")
     p.add_argument("--output", help="write the outcome as JSON to this path")
@@ -79,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=int, nargs="+", required=True)
     p.add_argument("--R", type=int, default=200)
     _add_common_test_flags(p)
-    p.add_argument("--center", choices=["none", "spatial-median"], default="spatial-median")
+    p.add_argument("--center", choices=CENTER_MODES, default="spatial-median")
     p.add_argument("--output", default="results/subsample")
 
     return parser
@@ -160,6 +161,9 @@ def cmd_test(args) -> int:
 def cmd_zeta_gaussian(args) -> int:
     if args.haar_m < 1:
         print(f"error: --haar-m must be >= 1, got {args.haar_m}", file=sys.stderr)
+        return 2
+    if args.d < 1:
+        print(f"error: --d must be >= 1, got {args.d}", file=sys.stderr)
         return 2
     if args.sigma == "identity":
         sigma = CovSpec(np.eye(args.d))

@@ -87,25 +87,6 @@ class AugmentedSample:
         return self.original.d
 
 
-def kernel(x: np.ndarray, y: np.ndarray, d: int) -> float:
-    """Gaussian kernel exp(-||x - y||^2 / (2 d)) with bandwidth = dimension."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if x.shape != (d,) or y.shape != (d,):
-        raise ValueError(f"expected two vectors of length {d}, got {x.shape} and {y.shape}")
-    diff = x - y
-    return float(np.exp(-np.dot(diff, diff) / (2.0 * d)))
-
-
-def symmetrized_kernel(p1, p2, d: int) -> float:
-    """Four-term kernel g((x, x'), (y, y')); antisymmetric in each pair swap."""
-    x, xp = p1
-    y, yp = p2
-    return kernel(x, y, d) + kernel(xp, yp, d) - kernel(x, yp, d) - kernel(y, xp, d)
-
-
 @dataclass(frozen=True)
 class GramCache:
     """Dense n x n matrix G of pair values g_ij, with a zero diagonal.
@@ -124,10 +105,6 @@ class GramCache:
     def __post_init__(self):
         if self.g.shape != (self.n, self.n):
             raise ValueError(f"Gram matrix shape {self.g.shape} != ({self.n}, {self.n})")
-
-    def g_matrix(self) -> np.ndarray:
-        """Pairwise g values g_ij (i != j), zero diagonal. Read-only."""
-        return self.g
 
 
 def _physical_memory_bytes() -> int | None:
@@ -191,8 +168,9 @@ def swap_statistic(cache: GramCache, signs: np.ndarray):
     """Statistic s^T G s / (n (n-1)) after the swaps the signs select.
 
     s_i = +1 keeps pair i and s_i = -1 swaps it, so all ones gives the
-    observed statistic.  ``signs`` is one length-n vector (returns a float)
-    or an (m, n) array of them (returns m values).  Every statistic the
+    observed statistic, and -s gives the same value as s.  ``signs`` is one
+    length-n vector (returns a float) or an (m, n) array of them (returns m
+    values); any entry other than +1 or -1 is refused.  Every statistic the
     package reports, observed or resampled, is computed here.
     """
     n = cache.n
@@ -201,6 +179,8 @@ def swap_statistic(cache: GramCache, signs: np.ndarray):
     s = np.asarray(signs, dtype=float)
     if s.ndim not in (1, 2) or s.shape[-1] != n:
         raise ValueError(f"signs of shape {s.shape} do not match n = {n}")
+    if not ((s == 1) | (s == -1)).all():
+        raise ValueError("sign entries must be +1 or -1")
     rows = np.atleast_2d(s)
     values = np.einsum("ij,ij->i", rows @ cache.g, rows) / (n * (n - 1))
     return float(values[0]) if s.ndim == 1 else values

@@ -13,10 +13,13 @@ import csv
 import json
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from .augment import CENTER_MODES
 from .calibrate import DEFAULT_ALPHA, DEFAULT_B, run_test
 from .core import Sample
 from .distributions import (
@@ -58,6 +61,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.R < 1:
             raise ValueError(f"R must be >= 1, got {self.R}")
+        if self.B < 1:
+            raise ValueError(f"B must be >= 1, got {self.B}")
+        if not (0 < self.alpha < 1):
+            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        if self.center_mode not in CENTER_MODES:
+            raise ValueError(f"center must be one of {CENTER_MODES}, got {self.center_mode!r}")
         if len(self.cells) == 0:
             raise ValueError("experiment grid is empty")
 
@@ -103,19 +112,19 @@ CSV_COLUMNS = ["name", "spec", "n", "d", "R", "B", "alpha", "rejections", "power
 
 
 def _cell_power(
-    spec: DistributionSpec,
-    n: int,
+    draw: Callable[[RngStream], Sample],
     R: int,
     B: int,
     alpha: float,
     seed: int,
     cell_index: int,
-    center_mode: str = "none",
+    center_mode: str,
 ) -> int:
+    """Rejections over R replications; ``draw`` makes each replication's sample."""
     rejections = 0
     for r in range(R):
         rep = RngStream(seed, (cell_index, r))
-        data = sample(spec, n, rep.child(0))
+        data = draw(rep.child(0))
         outcome = run_test(data, rep.child(1), alpha=alpha, B=B, center_mode=center_mode)
         rejections += int(outcome.reject)
     return rejections
@@ -126,7 +135,7 @@ def run_power_study(config: ExperimentConfig) -> list[PowerRecord]:
     records = []
     for ci, cell in enumerate(config.cells):
         rejections = _cell_power(
-            cell.spec, cell.n, config.R, config.B, config.alpha,
+            partial(sample, cell.spec, cell.n), config.R, config.B, config.alpha,
             config.seed, ci, config.center_mode,
         )
         records.append(
@@ -208,6 +217,10 @@ def load_csv_matrix(path: str, has_header: bool = False) -> np.ndarray:
     return np.asarray(rows)
 
 
+def _subsample(data: np.ndarray, size: int, rng: RngStream) -> Sample:
+    return Sample(data[rng.generator().choice(len(data), size=size, replace=False)])
+
+
 def run_subsample_study(
     csv_path: str,
     subsample_sizes: tuple[int, ...],
@@ -229,14 +242,7 @@ def run_subsample_study(
     for ci, size in enumerate(subsample_sizes):
         if not (2 <= size <= n_total):
             raise ValueError(f"subsample size {size} outside [2, {n_total}]")
-        rejections = 0
-        for r in range(R):
-            rep = RngStream(seed, (ci, r))
-            idx = rep.child(0).generator().choice(n_total, size=size, replace=False)
-            outcome = run_test(
-                Sample(data[idx]), rep.child(1), alpha=alpha, B=B, center_mode=center_mode
-            )
-            rejections += int(outcome.reject)
+        rejections = _cell_power(partial(_subsample, data, size), R, B, alpha, seed, ci, center_mode)
         records.append(
             PowerRecord(
                 name=name,
@@ -351,20 +357,26 @@ def parse_distribution(text: str) -> DistributionSpec:
             return default
         raise ValueError(f"distribution {family!r} needs parameter {key!r}")
 
+    def need_d(default=None) -> int:
+        d = need("d", default)
+        if not float(d).is_integer():
+            raise ValueError(f"d must be an integer, got d={d:g} in {text!r}")
+        return int(d)
+
     if family == "gaussian":
-        spec = Gaussian(d=int(need("d")), rho=need("rho", 0.0))
+        spec = Gaussian(d=need_d(), rho=need("rho", 0.0))
     elif family in ("t", "student"):
-        spec = SphericalT(d=int(need("d")), nu=need("nu"))
+        spec = SphericalT(d=need_d(), nu=need("nu"))
     elif family == "cauchy":
-        spec = SphericalT(d=int(need("d")), nu=1.0)
+        spec = SphericalT(d=need_d(), nu=1.0)
     elif family == "lp":
-        spec = LpSymmetric(d=int(need("d")), p=need("p"))
+        spec = LpSymmetric(d=need_d(), p=need("p"))
     elif family == "angular":
-        spec = AngularSymmetric(d=int(need("d", 5)))
+        spec = AngularSymmetric(d=need_d(5))
     elif family == "mixture4":
-        spec = FourComponentMixture(d=int(need("d", 5)))
+        spec = FourComponentMixture(d=need_d(5))
     elif family == "spiked":
-        spec = Spiked(d=int(need("d")), gamma=need("gamma"))
+        spec = Spiked(d=need_d(), gamma=need("gamma"))
     else:
         raise ValueError(f"unknown distribution family: {family!r}")
     if params:

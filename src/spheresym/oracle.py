@@ -33,6 +33,8 @@ class CovSpec:
         sigma = np.asarray(self.sigma, dtype=float)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise ValueError(f"covariance must be square, got shape {sigma.shape}")
+        if sigma.shape[0] < 1:
+            raise ValueError("covariance must be at least 1 x 1")
         if not np.allclose(sigma, sigma.T, atol=1e-12, rtol=0):
             raise ValueError("covariance must be symmetric")
         if np.linalg.eigvalsh(sigma).min() < -1e-10:
@@ -101,6 +103,20 @@ def is_scalar_identity(sigma: CovSpec, tol: float = 1e-12) -> bool:
     return float(np.linalg.norm(sigma.sigma - c * np.eye(sigma.d))) < tol
 
 
+def _chunked_mean_var(values, m: int) -> tuple[float, float]:
+    """Mean and variance of m values, drawn by ``values(k)`` in chunks of k <= _HAAR_CHUNK."""
+    total = total_sq = 0.0
+    remaining = m
+    while remaining > 0:
+        k = min(remaining, _HAAR_CHUNK)
+        vals = values(k)
+        total += vals.sum()
+        total_sq += (vals**2).sum()
+        remaining -= k
+    mean = total / m
+    return mean, max(total_sq / m - mean**2, 0.0)
+
+
 def gaussian_zeta(sigma: CovSpec, d: int, haar: HaarConfig = HaarConfig()) -> tuple[float, float]:
     """Closed-form-plus-Haar-MC value of the measure for N(0, Sigma).
 
@@ -115,34 +131,21 @@ def gaussian_zeta(sigma: CovSpec, d: int, haar: HaarConfig = HaarConfig()) -> tu
     term1 = gaussian_pair_term(sigma, sigma, d)
 
     gen = RngStream(haar.seed, (0,)).generator()
-    # double integral: independent (H1, H2) pairs
-    sum_d = 0.0
-    sumsq_d = 0.0
-    remaining = haar.m
-    while remaining > 0:
-        m = min(remaining, _HAAR_CHUNK)
-        h1 = _haar_batch(d, m, gen)
-        h2 = _haar_batch(d, m, gen)
-        vals = _batch_pair_values(_conjugate(h1, sigma.sigma), _conjugate(h2, sigma.sigma), d)
-        sum_d += vals.sum()
-        sumsq_d += (vals**2).sum()
-        remaining -= m
-    mean_d = sum_d / haar.m
-    var_d = max(sumsq_d / haar.m - mean_d**2, 0.0)
+    s = sigma.sigma
 
-    # single integral: fresh draws, independent of the double-integral draws
-    sum_s = 0.0
-    sumsq_s = 0.0
-    remaining = haar.m
-    while remaining > 0:
-        m = min(remaining, _HAAR_CHUNK)
-        h = _haar_batch(d, m, gen)
-        vals = _batch_pair_values(np.broadcast_to(sigma.sigma, (m, d, d)), _conjugate(h, sigma.sigma), d)
-        sum_s += vals.sum()
-        sumsq_s += (vals**2).sum()
-        remaining -= m
-    mean_s = sum_s / haar.m
-    var_s = max(sumsq_s / haar.m - mean_s**2, 0.0)
+    def double(k):
+        # independent (H1, H2) pairs
+        h1 = _haar_batch(d, k, gen)
+        h2 = _haar_batch(d, k, gen)
+        return _batch_pair_values(_conjugate(h1, s), _conjugate(h2, s), d)
+
+    def single(k):
+        h = _haar_batch(d, k, gen)
+        return _batch_pair_values(np.broadcast_to(s, (k, d, d)), _conjugate(h, s), d)
+
+    mean_d, var_d = _chunked_mean_var(double, haar.m)
+    # single integral: fresh draws, after and independent of the double-integral draws
+    mean_s, var_s = _chunked_mean_var(single, haar.m)
 
     estimate = term1 + mean_d - 2.0 * mean_s
     std_error = float(np.sqrt(var_d / haar.m + 4.0 * var_s / haar.m))
@@ -153,8 +156,15 @@ def mc_zeta(spec, n_big: int = 200, reps: int = 200, rng: RngStream = RngStream(
     """Mean and standard error of the pairwise statistic over fresh samples.
 
     ``spec`` is a DistributionSpec from :mod:`spheresym.distributions`.
+    Needs ``n_big >= 2`` (the statistic's minimum) and ``reps >= 2`` (for
+    the standard error).
     """
     from .distributions import sample as sample_dist
+
+    if n_big < 2:
+        raise ValueError(f"n_big must be >= 2, got {n_big}")
+    if reps < 2:
+        raise ValueError(f"reps must be >= 2 for a standard error, got {reps}")
 
     values = np.empty(reps)
     for r in range(reps):

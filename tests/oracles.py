@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from spheresym.core import swap_statistic
+from spheresym.core import AugmentedSample, Sample, swap_statistic
 
 
 def naive_kernel(x, y, d):
@@ -46,6 +46,15 @@ def naive_resampled_zeta(original, variant, mask) -> float:
     y = np.where(np.asarray(mask)[:, None] == 1, original, variant)
     yp = np.where(np.asarray(mask)[:, None] == 1, variant, original)
     return naive_zeta(y, yp)
+
+
+def swap_pairs(aug: AugmentedSample, signs) -> AugmentedSample:
+    """The augmented sample with pair i swapped wherever signs[i] is -1."""
+    swap = np.asarray(signs)[:, None] < 0
+    return AugmentedSample(
+        original=Sample(np.where(swap, aug.variant, aug.original.data)),
+        variant=np.where(swap, aug.original.data, aug.variant),
+    )
 
 
 def naive_exact_pvalue(original, variant) -> float:

@@ -16,17 +16,14 @@ from spheresym import (
     HaarConfig,
     RngStream,
     Sample,
-    SwapMask,
     augment,
     build_gram,
     critical_value,
     exact_pvalue,
     gaussian_zeta,
-    kernel,
     mc_pvalue,
     mc_zeta,
-    resample_statistic,
-    symmetrized_kernel,
+    swap_statistic,
     zeta_hat,
 )
 from spheresym.calibrate import cutoff_bound
@@ -42,7 +39,7 @@ from spheresym.experiments import (
     run_pitman_study,
     run_power_study,
 )
-from oracles import naive_exact_pvalue, naive_zeta, quadrature_gaussian_zeta_2d
+from oracles import naive_exact_pvalue, naive_zeta, quadrature_gaussian_zeta_2d, swap_pairs
 
 
 def _report(label: str, ok: bool, detail: str = "") -> None:
@@ -263,14 +260,7 @@ def test_criterion_10_structural_invariants():
     gen = np.random.default_rng(117)
     trials = 1000
 
-    anti = 0
-    for _ in range(trials):
-        d = int(gen.integers(1, 6))
-        x, xp, y, yp = gen.standard_normal((4, d))
-        g = symmetrized_kernel((x, xp), (y, yp), d)
-        anti += abs(symmetrized_kernel((xp, x), (y, yp), d) + g) <= 1e-12
-
-    full_swap = complement = rotation = naive_ok = 0
+    anti = full_swap = complement = rotation = naive_ok = 0
     for t in range(trials):
         n, d = int(gen.integers(3, 8)), int(gen.integers(1, 5))
         s = Sample(gen.standard_normal((n, d)))
@@ -278,11 +268,17 @@ def test_criterion_10_structural_invariants():
         cache = build_gram(aug)
         stat = zeta_hat(aug, cache).value
 
-        full_swap += abs(resample_statistic(cache, SwapMask(np.zeros(n, dtype=int))) - stat) <= 1e-12
+        # swapping pair t % n turns G into D G D, D = diag(signs)
+        signs = np.ones(n)
+        signs[t % n] = -1.0
+        swapped = build_gram(swap_pairs(aug, signs)).g
+        anti += np.abs(swapped - signs[:, None] * cache.g * signs).max() <= 1e-12
 
-        bits = gen.integers(0, 2, size=n)
-        a = resample_statistic(cache, SwapMask(bits))
-        b = resample_statistic(cache, SwapMask(bits).complement())
+        full_swap += abs(swap_statistic(cache, -np.ones(n)) - stat) <= 1e-12
+
+        signs = 2.0 * gen.integers(0, 2, size=n) - 1.0
+        a = swap_statistic(cache, signs)
+        b = swap_statistic(cache, -signs)
         complement += abs(a - b) <= 1e-12
 
         q, _ = np.linalg.qr(gen.standard_normal((d, d)))

@@ -7,13 +7,11 @@ from spheresym import (
     AugmentedSample,
     RngStream,
     Sample,
-    SwapMask,
     augment,
     build_gram,
     critical_value,
     exact_pvalue,
     mc_pvalue,
-    resample_statistic,
     run_test,
     swap_statistic,
     zeta_hat,
@@ -30,17 +28,20 @@ def _random_cache(seed, n=10, d=3):
 
 
 def test_swap_mask_validation():
-    with pytest.raises(ValueError):
-        SwapMask(np.array([0, 2, 1]))
-    with pytest.raises(ValueError):
-        SwapMask(np.zeros((2, 2)))
+    _, cache = _random_cache(0, n=3)
+    with pytest.raises(ValueError, match=r"\+1 or -1"):
+        swap_statistic(cache, np.array([1.0, 0.0, -1.0]))
+    with pytest.raises(ValueError, match=r"\+1 or -1"):
+        swap_statistic(cache, np.array([[1.0, 2.0, -1.0], [1.0, 1.0, 1.0]]))
+    with pytest.raises(ValueError, match="shape"):
+        swap_statistic(cache, np.ones((2, 2, 3)))
 
 
 def test_resample_identity_and_full_swap_reproduce_statistic():
     aug, cache = _random_cache(0)
     stat = zeta_hat(aug, cache).value
-    assert resample_statistic(cache, SwapMask(np.ones(10, dtype=int))) == stat
-    assert resample_statistic(cache, SwapMask(np.zeros(10, dtype=int))) == pytest.approx(stat, abs=1e-14)
+    assert swap_statistic(cache, np.ones(10)) == stat
+    assert swap_statistic(cache, -np.ones(10)) == pytest.approx(stat, abs=1e-14)
 
 
 def test_resample_hand_value_n2():
@@ -48,7 +49,7 @@ def test_resample_hand_value_n2():
     variant = np.array([[0.0, 1.0], [0.0, -1.0]])
     aug = AugmentedSample(original=Sample(original), variant=variant)
     cache = build_gram(aug)
-    got = resample_statistic(cache, SwapMask(np.array([1, 0])))
+    got = swap_statistic(cache, np.array([1.0, -1.0]))
     expected = 2.0 * math.exp(-0.5) - 2.0 * math.exp(-1.0)  # ~ +0.477297
     assert got == pytest.approx(expected, abs=1e-12)
 
@@ -58,7 +59,7 @@ def test_resample_matches_naive_recomputation():
     gen = np.random.default_rng(2)
     for _ in range(20):
         bits = gen.integers(0, 2, size=8)
-        got = resample_statistic(cache, SwapMask(bits))
+        got = swap_statistic(cache, 2.0 * bits - 1.0)
         want = naive_resampled_zeta(aug.original.data, aug.variant, bits)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -67,16 +68,16 @@ def test_resample_complement_equality():
     _, cache = _random_cache(3, n=12)
     gen = np.random.default_rng(4)
     for _ in range(20):
-        mask = SwapMask(gen.integers(0, 2, size=12))
-        a = resample_statistic(cache, mask)
-        b = resample_statistic(cache, mask.complement())
+        signs = 2.0 * gen.integers(0, 2, size=12) - 1.0
+        a = swap_statistic(cache, signs)
+        b = swap_statistic(cache, -signs)
         assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_resample_length_mismatch():
     _, cache = _random_cache(5)
     with pytest.raises(ValueError):
-        resample_statistic(cache, SwapMask(np.ones(5, dtype=int)))
+        swap_statistic(cache, np.ones(5))
 
 
 def test_exact_pvalue_floor_from_swap_symmetry():
@@ -267,4 +268,4 @@ def test_observed_statistic_ties_with_identity_mask():
         zeros = swap_statistic(cache, -np.ones((1, 9)))[0]
         assert obs == ones == zeros
         assert obs == zeta_hat(aug, cache).value
-        assert obs == pytest.approx(float(cache.g_matrix().sum()) / (9 * 8), abs=1e-14)
+        assert obs == pytest.approx(float(cache.g.sum()) / (9 * 8), abs=1e-14)

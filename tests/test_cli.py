@@ -88,6 +88,10 @@ def test_zeta_gaussian_errors(tmp_path, capsys):
     assert main(["zeta-gaussian", "--sigma", str(path), "--d", "3"]) == 2
     np.savetxt(path, np.array([[1.0, 2.0], [2.0, 1.0]]), delimiter=",")
     assert main(["zeta-gaussian", "--sigma", str(path), "--d", "2"]) == 2
+    capsys.readouterr()
+    for d in ("0", "-1"):
+        assert main(["zeta-gaussian", "--sigma", "identity", "--d", d]) == 2
+        assert capsys.readouterr().err == f"error: --d must be >= 1, got {d}\n"
 
 
 def test_simulate_command(tmp_path, capsys):
@@ -114,6 +118,18 @@ def test_simulate_empty_grid_exits_2(tmp_path, capsys):
     cfg.write_text("name = empty\n")
     assert main(["simulate", "--config", str(cfg)]) == 2
     assert "empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("B = 0", "B must be >= 1"),
+    ("alpha = 1.5", "alpha must be in (0, 1)"),
+    ("center = median", "center must be one of"),
+], ids=["B", "alpha", "center"])
+def test_simulate_invalid_config_value_exits_2(tmp_path, capsys, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"name = bad\nR = 2\n{line}\ncell = gaussian(rho=0,d=2) n=10\n")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_pitman_command(tmp_path, capsys):

@@ -11,12 +11,10 @@ from spheresym import (
     Sample,
     augment,
     build_gram,
-    kernel,
-    symmetrized_kernel,
     zeta_hat,
 )
 from spheresym import core
-from oracles import dense_kernel_matrix, g_from_kernel_matrix, naive_g, naive_zeta
+from oracles import dense_kernel_matrix, g_from_kernel_matrix, naive_g, naive_kernel, naive_zeta, swap_pairs
 
 # hand value for the pairs ((1,0),(0,1)) and ((-1,0),(0,-1)) in d=2
 G_HAND = 2.0 * math.exp(-1.0) - 2.0 * math.exp(-0.5)  # ~ -0.477297
@@ -28,51 +26,61 @@ def _pairs_n2():
     return original, variant
 
 
+def _gram_of_pairs(original, variant) -> np.ndarray:
+    aug = AugmentedSample(original=Sample(np.asarray(original, dtype=float)), variant=variant)
+    return build_gram(aug).g
+
+
 def test_kernel_zero_distance_is_one():
+    # a repeated pair (x, -x), (x, -x) gives g = K(x, x) + K(-x, -x) - 2 K(x, -x)
     x = np.array([0.3, -1.2, 4.0])
-    assert kernel(x, x, 3) == 1.0
+    g = _gram_of_pairs([x, x], np.array([-x, -x]))
+    assert g[0, 1] == pytest.approx(2.0 - 2.0 * math.exp(-4.0 * x.dot(x) / 6.0), abs=1e-14)
 
 
 def test_kernel_analytic_values():
-    assert kernel(np.zeros(2), np.array([2.0, 0.0]), 2) == pytest.approx(math.exp(-1.0), abs=1e-12)
-    assert kernel(np.ones(5), np.zeros(5), 5) == pytest.approx(math.exp(-0.5), abs=1e-12)
+    # pair 1 is pair 0 swapped, so g = 2 K(1, -1) - 2 K(1, 1) = 2 exp(-20 / 10) - 2 in d = 5
+    one = np.ones(5)
+    g = _gram_of_pairs([one, -one], np.array([-one, one]))
+    assert g[0, 1] == pytest.approx(2.0 * math.exp(-2.0) - 2.0, abs=1e-12)
 
 
 def test_kernel_dimension_mismatch():
-    with pytest.raises(ValueError):
-        kernel(np.zeros(3), np.zeros(2), 3)
-    with pytest.raises(ValueError):
-        kernel(np.zeros(2), np.zeros(2), 3)
+    with pytest.raises(ValueError, match="shape"):
+        AugmentedSample(original=Sample(np.zeros((2, 3))), variant=np.zeros((2, 2)))
 
 
 def test_symmetrized_kernel_cancels_for_equal_pairs():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        x, y = rng.standard_normal((2, 4))
-        assert symmetrized_kernel((x, x), (y, y), 4) == 0.0
+    data = np.random.default_rng(0).standard_normal((20, 4))
+    assert np.all(_gram_of_pairs(data, data.copy()) == 0.0)
 
 
 def test_symmetrized_kernel_diagonal_identity():
+    # G's diagonal is zeroed, so the identity g((x, x'), (x, x')) = 2 (1 - K(x, x'))
+    # is checked on a repeated pair
     rng = np.random.default_rng(1)
-    x, xp = rng.standard_normal((2, 3))
-    g = symmetrized_kernel((x, xp), (x, xp), 3)
-    assert g == pytest.approx(2.0 * (1.0 - kernel(x, xp, 3)), abs=1e-14)
+    x, u = rng.standard_normal((2, 3))
+    xp = np.linalg.norm(x) * u / np.linalg.norm(u)
+    g = _gram_of_pairs([x, x], np.array([xp, xp]))[0, 1]
+    assert g == pytest.approx(2.0 * (1.0 - naive_kernel(x, xp, 3)), abs=1e-14)
     assert g >= 0.0
 
 
 def test_symmetrized_kernel_hand_value():
     o, v = _pairs_n2()
-    g = symmetrized_kernel((o[0], v[0]), (o[1], v[1]), 2)
-    assert g == pytest.approx(G_HAND, abs=1e-12)
-    assert g == pytest.approx(-0.4773024, abs=1e-6)
+    g = _gram_of_pairs(o, v)
+    assert g[0, 1] == pytest.approx(G_HAND, abs=1e-12)
+    assert g[0, 1] == pytest.approx(-0.4773024, abs=1e-6)
 
 
 def test_symmetrized_kernel_matches_naive():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        x, xp, y, yp = rng.standard_normal((4, 6))
-        got = symmetrized_kernel((x, xp), (y, yp), 6)
-        assert got == pytest.approx(naive_g((x, xp), (y, yp), 6), abs=1e-12)
+    aug = augment(Sample(np.random.default_rng(2).standard_normal((10, 6))), RngStream(2))
+    g = build_gram(aug).g
+    pairs = list(zip(aug.original.data, aug.variant))
+    for i in range(10):
+        for j in range(10):
+            if i != j:
+                assert g[i, j] == pytest.approx(naive_g(pairs[i], pairs[j], 6), abs=1e-12)
 
 
 def test_sample_validation():
@@ -93,10 +101,10 @@ def test_augmented_sample_norm_check():
 def test_build_gram_single_row():
     s = Sample(np.array([[3.0, 4.0]]))
     aug = augment(s, RngStream(0))
-    g = build_gram(aug).g_matrix()
+    g = build_gram(aug).g
     assert g.shape == (1, 1) and g[0, 0] == 0.0
     k = dense_kernel_matrix(aug.original.data, aug.variant)
-    k01 = kernel(s.data[0], aug.variant[0], 2)
+    k01 = naive_kernel(s.data[0], aug.variant[0], 2)
     assert k.shape == (2, 2)
     assert k[0, 0] == 1.0 and k[1, 1] == 1.0
     assert k[0, 1] == k[1, 0] == pytest.approx(k01, abs=1e-15)
@@ -106,7 +114,7 @@ def test_build_gram_identical_rows_all_ones():
     data = np.tile(np.array([1.0, 2.0, 2.0]), (4, 1))
     s = Sample(data)
     aug = AugmentedSample(original=s, variant=data.copy())
-    assert np.all(build_gram(aug).g_matrix() == 0.0)
+    assert np.all(build_gram(aug).g == 0.0)
     assert np.all(dense_kernel_matrix(data, data) == 1.0)
 
 
@@ -115,7 +123,7 @@ def test_gram_properties_random():
     s = Sample(rng.standard_normal((15, 4)))
     aug = augment(s, RngStream(5))
     cache = build_gram(aug)
-    g = cache.g_matrix()
+    g = cache.g
     assert np.all(np.diag(g) == 0.0)
     assert np.allclose(g, g.T, rtol=0.0, atol=1e-15)
     assert np.all(g >= -2.0) and np.all(g <= 2.0)
@@ -151,10 +159,10 @@ def test_build_gram_bit_identical_to_dense_kernel(n, d, scale):
     aug = augment(Sample(data), RngStream(n, (d,)))
     cache = build_gram(aug)
     want = g_from_kernel_matrix(dense_kernel_matrix(aug.original.data, aug.variant))
-    assert np.array_equal(cache.g_matrix(), want)
+    assert np.array_equal(cache.g, want)
     assert not hasattr(cache, "k")
     assert sum(v.nbytes for v in vars(cache).values() if isinstance(v, np.ndarray)) == 8 * n * n
-    assert not cache.g_matrix().flags.writeable
+    assert not cache.g.flags.writeable
 
 
 def test_build_gram_refuses_more_than_physical_memory(monkeypatch):
@@ -244,9 +252,11 @@ def test_zeta_hat_bounded(seed, n, d):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
-def test_symmetrized_kernel_antisymmetry(seed, d):
-    rng = np.random.default_rng(seed)
-    x, xp, y, yp = rng.standard_normal((4, d))
-    g = symmetrized_kernel((x, xp), (y, yp), d)
-    assert symmetrized_kernel((xp, x), (y, yp), d) == pytest.approx(-g, abs=1e-15)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(1, 6))
+def test_symmetrized_kernel_antisymmetry(seed, n, d):
+    # swapping pair i flips the sign of row and column i: G -> D G D, D = diag(s)
+    aug = augment(Sample(np.random.default_rng(seed).standard_normal((n, d))), RngStream(seed))
+    s = np.ones(n)
+    s[seed % n] = -1.0
+    want = s[:, None] * build_gram(aug).g * s
+    np.testing.assert_allclose(build_gram(swap_pairs(aug, s)).g, want, rtol=0.0, atol=1e-12)

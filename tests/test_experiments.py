@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,10 @@ def test_parse_distribution_errors():
         parse_distribution("weird(d=2)")
     with pytest.raises(ValueError, match="unused"):
         parse_distribution("gaussian(d=2,nu=3)")
+    for text in ("gaussian(rho=0.5,d=2.7)", "spiked(d=3.9,gamma=1)", "angular(d=inf)"):
+        with pytest.raises(ValueError, match=r"d must be an integer.*" + re.escape(text)):
+            parse_distribution(text)
+    assert parse_distribution("gaussian(d=3.0)") == Gaussian(d=3)
 
 
 def test_parse_cell():

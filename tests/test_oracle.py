@@ -26,6 +26,8 @@ def test_covspec_validation():
         CovSpec(np.array([[1.0, 2.0], [2.0, 1.0]]))  # negative eigenvalue
     with pytest.raises(ValueError):
         CovSpec(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="at least 1 x 1"):
+        CovSpec(np.zeros((0, 0)))
 
 
 def test_pair_term_identity_covariances():
@@ -134,6 +136,13 @@ def test_mc_zeta_contamination_identity():
     zf, zse = gaussian_zeta(CovSpec(np.diag([4.0, 1.0])), 2, HaarConfig(m=40_000, seed=14))
     target = 0.25 * zf
     assert abs(est - target) < 3 * np.hypot(se, 0.25 * zse)
+
+
+def test_mc_zeta_needs_two_reps_and_two_rows():
+    with pytest.raises(ValueError, match="reps"):
+        mc_zeta(Gaussian(d=2), n_big=10, reps=1, rng=RngStream(0))
+    with pytest.raises(ValueError, match="n_big"):
+        mc_zeta(Gaussian(d=2), n_big=1, reps=5, rng=RngStream(0))
 
 
 def test_concentration_bound_sanity():
