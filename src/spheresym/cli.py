@@ -24,12 +24,13 @@ import numpy as np
 from .augment import CENTER_MODES
 from .calibrate import DEFAULT_ALPHA, DEFAULT_B, ENUM_LIMIT, run_test
 from .core import Sample
+from .distributions import describe
 from .experiments import (
     load_csv_matrix,
     parse_config,
-    run_pitman_study,
+    pitman_config,
     run_power_study,
-    run_subsample_study,
+    subsample_config,
     write_records,
 )
 from .oracle import CovSpec, HaarConfig, gaussian_zeta
@@ -124,14 +125,6 @@ def _thread_limit(threads):
     return threadpool_limits(limits=threads)
 
 
-def _print_records(records):
-    header = f"{'spec':<50} {'n':>5} {'d':>5} {'power':>7} {'se':>7}"
-    print(header)
-    print("-" * len(header))
-    for rec in records:
-        print(f"{rec.spec:<50} {rec.n:>5} {rec.d:>5} {rec.power:>7.3f} {rec.std_error:>7.3f}")
-
-
 def cmd_test(args) -> int:
     data = load_csv_matrix(args.input, has_header=args.header)
     if not (0 < args.alpha < 1):
@@ -182,15 +175,8 @@ def cmd_zeta_gaussian(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    try:
-        config = parse_config(args.config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    records = run_power_study(config)
-    _print_records(records)
-    out = config.output or f"results/{config.name}"
+def _simulate_study(args):
+    config = parse_config(args.config)
     echo = {
         "name": config.name,
         "R": config.R,
@@ -198,48 +184,48 @@ def cmd_simulate(args) -> int:
         "alpha": config.alpha,
         "seed": config.seed,
         "center": config.center_mode,
-        "cells": [rec.spec + f" n={rec.n}" for rec in records],
+        "cells": [f"{describe(cell.spec)} n={cell.n}" for cell in config.cells],
     }
-    csv_path, json_path = write_records(records, out, echo)
-    print(f"wrote {csv_path} and {json_path}")
-    return 0
+    return config, config.output or f"results/{config.name}", echo
 
 
-def cmd_pitman(args) -> int:
-    try:
-        records = run_pitman_study(
-            args.gamma, tuple(args.n_grid), R=args.R, B=args.B, alpha=args.alpha, seed=args.seed
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _print_records(records)
+def _pitman_study(args):
+    config = pitman_config(
+        args.gamma, tuple(args.n_grid), R=args.R, B=args.B, alpha=args.alpha, seed=args.seed
+    )
     echo = {"gamma": args.gamma, "n_grid": args.n_grid, "R": args.R, "B": args.B,
             "alpha": args.alpha, "seed": args.seed}
-    csv_path, json_path = write_records(records, args.output, echo)
-    print(f"wrote {csv_path} and {json_path}")
-    return 0
+    return config, args.output, echo
 
 
-def cmd_subsample(args) -> int:
+def _subsample_study(args):
+    config = subsample_config(
+        args.input, tuple(args.sizes), R=args.R, B=args.B, alpha=args.alpha, seed=args.seed,
+        center_mode=args.center, has_header=args.header,
+    )
+    echo = {"input": args.input, "sizes": args.sizes, "R": args.R, "B": args.B,
+            "alpha": args.alpha, "seed": args.seed, "center": args.center}
+    return config, args.output, echo
+
+
+# Each builds its subcommand's (config, output prefix, config echo).
+_STUDIES = {"simulate": _simulate_study, "pitman": _pitman_study, "subsample": _subsample_study}
+
+
+def cmd_study(args) -> int:
+    """Build the study (an invalid value exits 2), run it, print and write its records."""
     try:
-        records = run_subsample_study(
-            args.input,
-            tuple(args.sizes),
-            R=args.R,
-            B=args.B,
-            alpha=args.alpha,
-            seed=args.seed,
-            center_mode=args.center,
-            has_header=args.header,
-        )
+        config, out, echo = _STUDIES[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _print_records(records)
-    echo = {"input": args.input, "sizes": args.sizes, "R": args.R, "B": args.B,
-            "alpha": args.alpha, "seed": args.seed, "center": args.center}
-    csv_path, json_path = write_records(records, args.output, echo)
+    records = run_power_study(config)
+    header = f"{'spec':<50} {'n':>5} {'d':>5} {'power':>7} {'se':>7}"
+    print(header)
+    print("-" * len(header))
+    for rec in records:
+        print(f"{rec.spec:<50} {rec.n:>5} {rec.d:>5} {rec.power:>7.3f} {rec.std_error:>7.3f}")
+    csv_path, json_path = write_records(records, out, echo)
     print(f"wrote {csv_path} and {json_path}")
     return 0
 
@@ -247,15 +233,15 @@ def cmd_subsample(args) -> int:
 _COMMANDS = {
     "test": cmd_test,
     "zeta-gaussian": cmd_zeta_gaussian,
-    "simulate": cmd_simulate,
-    "pitman": cmd_pitman,
-    "subsample": cmd_subsample,
+    **dict.fromkeys(_STUDIES, cmd_study),
 }
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "seed", 0) < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     limit = contextlib.nullcontext()
     if args.threads is not None:
         if args.threads < 1:

@@ -137,8 +137,24 @@ class Contaminated:
         return self.component_f.d
 
 
+@dataclass(frozen=True, eq=False)
+class Subsample:
+    """Rows drawn without replacement from a fixed data matrix.
+
+    ``label`` names the data in result records.  Instances compare by
+    identity: an elementwise ``==`` on the matrix has no single truth value.
+    """
+
+    data: np.ndarray
+    label: str
+
+    @property
+    def d(self) -> int:
+        return self.data.shape[1]
+
+
 DistributionSpec = Union[
-    Gaussian, SphericalT, LpSymmetric, AngularSymmetric, FourComponentMixture, Spiked, Contaminated
+    Gaussian, SphericalT, LpSymmetric, AngularSymmetric, FourComponentMixture, Spiked, Contaminated, Subsample
 ]
 
 
@@ -161,6 +177,8 @@ def describe(spec: DistributionSpec) -> str:
         return f"spiked(gamma={spec.gamma},d={spec.d})"
     if isinstance(spec, Contaminated):
         return f"contaminated(delta={spec.delta:g},f={describe(spec.component_f)},g={describe(spec.component_g)})"
+    if isinstance(spec, Subsample):
+        return f"subsample({spec.label})"
     raise TypeError(f"unknown distribution spec: {spec!r}")
 
 
@@ -228,6 +246,9 @@ def _sample_rows(spec: DistributionSpec, n: int, gen: np.random.Generator) -> np
         rows_f = _sample_rows(spec.component_f, n, gen)
         rows_g = _sample_rows(spec.component_g, n, gen)
         return np.where(pick_g[:, None], rows_g, rows_f)
+
+    if isinstance(spec, Subsample):
+        return spec.data[gen.choice(len(spec.data), size=n, replace=False)]
 
     raise TypeError(f"unknown distribution spec: {spec!r}")
 

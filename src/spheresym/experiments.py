@@ -1,5 +1,7 @@
 """Desk-scale simulation studies: level, power, efficiency, subsampling.
 
+Every study is an :class:`ExperimentConfig` run by :func:`run_power_study`;
+:func:`pitman_config` and :func:`subsample_config` build the paper's two.
 Each study runs R seeded replications per grid cell and aggregates the
 rejection fraction into :class:`PowerRecord` rows, written as plot-ready CSV
 plus an audit JSON echoing the full configuration.  Per-replication streams
@@ -13,15 +15,12 @@ import csv
 import json
 import math
 import os
-from collections.abc import Callable
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .augment import CENTER_MODES
 from .calibrate import DEFAULT_ALPHA, DEFAULT_B, run_test
-from .core import Sample
 from .distributions import (
     AngularSymmetric,
     Contaminated,
@@ -31,6 +30,7 @@ from .distributions import (
     LpSymmetric,
     Spiked,
     SphericalT,
+    Subsample,
     describe,
     sample,
 )
@@ -43,8 +43,9 @@ class Cell:
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"cell sample size must be >= 2, got {self.n}")
+        rows = len(self.spec.data) if isinstance(self.spec, Subsample) else math.inf
+        if not (2 <= self.n <= rows):
+            raise ValueError(f"cell sample size {self.n} outside [2, {rows}]")
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,8 @@ class ExperimentConfig:
             raise ValueError(f"B must be >= 1, got {self.B}")
         if not (0 < self.alpha < 1):
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.center_mode not in CENTER_MODES:
             raise ValueError(f"center must be one of {CENTER_MODES}, got {self.center_mode!r}")
         if len(self.cells) == 0:
@@ -73,6 +76,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class PowerRecord:
+    """One grid cell's result; the field order is the CSV column order."""
+
     name: str
     spec: str
     n: int
@@ -81,11 +86,13 @@ class PowerRecord:
     B: int
     alpha: float
     rejections: int
-    seed: int
     power: float = field(init=False)
     std_error: float = field(init=False)
+    seed: int
 
     def __post_init__(self):
+        if self.R < 1:
+            raise ValueError(f"R must be >= 1, got {self.R}")
         if not (0 <= self.rejections <= self.R):
             raise ValueError("rejection count out of range")
         power = self.rejections / self.R
@@ -93,51 +100,28 @@ class PowerRecord:
         object.__setattr__(self, "std_error", math.sqrt(power * (1.0 - power) / self.R))
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "spec": self.spec,
-            "n": self.n,
-            "d": self.d,
-            "R": self.R,
-            "B": self.B,
-            "alpha": self.alpha,
-            "rejections": self.rejections,
-            "power": self.power,
-            "std_error": self.std_error,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
-CSV_COLUMNS = ["name", "spec", "n", "d", "R", "B", "alpha", "rejections", "power", "std_error", "seed"]
-
-
-def _cell_power(
-    draw: Callable[[RngStream], Sample],
-    R: int,
-    B: int,
-    alpha: float,
-    seed: int,
-    cell_index: int,
-    center_mode: str,
-) -> int:
-    """Rejections over R replications; ``draw`` makes each replication's sample."""
-    rejections = 0
-    for r in range(R):
-        rep = RngStream(seed, (cell_index, r))
-        data = draw(rep.child(0))
-        outcome = run_test(data, rep.child(1), alpha=alpha, B=B, center_mode=center_mode)
-        rejections += int(outcome.reject)
-    return rejections
+CSV_COLUMNS = [f.name for f in fields(PowerRecord)]
 
 
 def run_power_study(config: ExperimentConfig) -> list[PowerRecord]:
-    """Rejection fraction per grid cell over R seeded replications."""
+    """Rejection fraction per grid cell over R seeded replications.
+
+    Replication r of cell ci uses ``RngStream(seed, (ci, r))``: ``child(0)``
+    draws the sample and ``child(1)`` runs the test.
+    """
     records = []
     for ci, cell in enumerate(config.cells):
-        rejections = _cell_power(
-            partial(sample, cell.spec, cell.n), config.R, config.B, config.alpha,
-            config.seed, ci, config.center_mode,
-        )
+        rejections = 0
+        for r in range(config.R):
+            rep = RngStream(config.seed, (ci, r))
+            data = sample(cell.spec, cell.n, rep.child(0))
+            outcome = run_test(
+                data, rep.child(1), alpha=config.alpha, B=config.B, center_mode=config.center_mode
+            )
+            rejections += int(outcome.reject)
         records.append(
             PowerRecord(
                 name=config.name,
@@ -174,6 +158,21 @@ def pitman_spec(n: int, gamma: float) -> Contaminated:
     )
 
 
+def pitman_config(
+    gamma: float,
+    n_grid: tuple[int, ...] = (50, 100, 250, 500),
+    R: int = 200,
+    B: int = DEFAULT_B,
+    alpha: float = DEFAULT_ALPHA,
+    seed: int = 0,
+) -> ExperimentConfig:
+    """The sqrt(n)-local contamination study, one cell per n in ``n_grid``."""
+    cells = tuple(Cell(pitman_spec(n, gamma), n) for n in n_grid)
+    return ExperimentConfig(
+        name=f"pitman_gamma{gamma:g}", cells=cells, R=R, B=B, alpha=alpha, seed=seed
+    )
+
+
 def run_pitman_study(
     gamma: float,
     n_grid: tuple[int, ...] = (50, 100, 250, 500),
@@ -183,11 +182,7 @@ def run_pitman_study(
     seed: int = 0,
 ) -> list[PowerRecord]:
     """Power along the sqrt(n)-local contamination alternatives."""
-    cells = tuple(Cell(pitman_spec(n, gamma), n) for n in n_grid)
-    config = ExperimentConfig(
-        name=f"pitman_gamma{gamma:g}", cells=cells, R=R, B=B, alpha=alpha, seed=seed
-    )
-    return run_power_study(config)
+    return run_power_study(pitman_config(gamma, n_grid, R, B, alpha, seed))
 
 
 def load_csv_matrix(path: str, has_header: bool = False) -> np.ndarray:
@@ -217,8 +212,26 @@ def load_csv_matrix(path: str, has_header: bool = False) -> np.ndarray:
     return np.asarray(rows)
 
 
-def _subsample(data: np.ndarray, size: int, rng: RngStream) -> Sample:
-    return Sample(data[rng.generator().choice(len(data), size=size, replace=False)])
+def subsample_config(
+    csv_path: str,
+    subsample_sizes: tuple[int, ...],
+    R: int = 200,
+    B: int = DEFAULT_B,
+    alpha: float = DEFAULT_ALPHA,
+    seed: int = 0,
+    center_mode: str = "spatial-median",
+    has_header: bool = False,
+) -> ExperimentConfig:
+    """The subsampling study of a CSV dataset, one cell per subsample size.
+
+    Centering (spatial median by default) is recomputed per subsample.
+    """
+    data = load_csv_matrix(csv_path, has_header=has_header)
+    name = os.path.basename(csv_path)
+    cells = tuple(Cell(Subsample(data, name), size) for size in subsample_sizes)
+    return ExperimentConfig(
+        name=name, cells=cells, R=R, B=B, alpha=alpha, seed=seed, center_mode=center_mode
+    )
 
 
 def run_subsample_study(
@@ -231,32 +244,10 @@ def run_subsample_study(
     center_mode: str = "spatial-median",
     has_header: bool = False,
 ) -> list[PowerRecord]:
-    """Rejection fraction over random without-replacement subsamples.
-
-    Centering (spatial median by default) is recomputed per subsample.
-    """
-    data = load_csv_matrix(csv_path, has_header=has_header)
-    n_total, d = data.shape
-    records = []
-    name = os.path.basename(csv_path)
-    for ci, size in enumerate(subsample_sizes):
-        if not (2 <= size <= n_total):
-            raise ValueError(f"subsample size {size} outside [2, {n_total}]")
-        rejections = _cell_power(partial(_subsample, data, size), R, B, alpha, seed, ci, center_mode)
-        records.append(
-            PowerRecord(
-                name=name,
-                spec=f"subsample({name})",
-                n=size,
-                d=d,
-                R=R,
-                B=B,
-                alpha=alpha,
-                rejections=rejections,
-                seed=seed,
-            )
-        )
-    return records
+    """Rejection fraction over random without-replacement subsamples."""
+    return run_power_study(
+        subsample_config(csv_path, subsample_sizes, R, B, alpha, seed, center_mode, has_header)
+    )
 
 
 def write_records(records: list[PowerRecord], out_prefix: str, config_echo: dict | None = None) -> tuple[str, str]:

@@ -24,6 +24,10 @@ class RngStream:
     seed: int
     key: tuple[int, ...] = ()
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(
             np.random.SeedSequence(entropy=self.seed, spawn_key=self.key)

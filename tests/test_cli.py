@@ -124,7 +124,8 @@ def test_simulate_empty_grid_exits_2(tmp_path, capsys):
     ("B = 0", "B must be >= 1"),
     ("alpha = 1.5", "alpha must be in (0, 1)"),
     ("center = median", "center must be one of"),
-], ids=["B", "alpha", "center"])
+    ("seed = -1", "seed must be >= 0, got -1"),
+], ids=["B", "alpha", "center", "seed"])
 def test_simulate_invalid_config_value_exits_2(tmp_path, capsys, line, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"name = bad\nR = 2\n{line}\ncell = gaussian(rho=0,d=2) n=10\n")
@@ -153,6 +154,52 @@ def test_subsample_command(tmp_path, capsys):
     assert len(rows) == 3  # header + two sizes
     assert main(["subsample", "--input", str(path), "--sizes", "100",
                  "--R", "2", "--output", str(out)]) == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--R", "0"],
+    ["--B", "0"],
+    ["--alpha", "1.5"],
+    ["--seed", "-1"],
+    ["--sizes", "10", "100"],
+], ids=["R", "B", "alpha", "seed", "sizes"])
+def test_subsample_invalid_value_exits_2_and_writes_nothing(tmp_path, capsys, flags):
+    path = _write_data(tmp_path, n=40, d=2, seed=6)
+    argv = ["subsample", "--input", str(path), "--sizes", "10", "--R", "2", "--B", "20",
+            *flags, "--output", str(tmp_path / "sub")]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        rc = exc.code
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("sub*"))
+
+
+def test_subsample_failure_during_run_exits_1(tmp_path, capsys):
+    data = np.random.default_rng(2).standard_normal((20, 2))
+    data[3] *= 1e300  # row norm overflows float64 inside the test
+    path = tmp_path / "huge.csv"
+    np.savetxt(path, data, delimiter=",", fmt="%.17g")
+    rc = main(["subsample", "--input", str(path), "--sizes", "20", "--R", "1", "--B", "20",
+               "--center", "none", "--output", str(tmp_path / "sub")])
+    assert rc == 1
+    assert "row norms overflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["test", "--input", "data.csv"],
+    ["zeta-gaussian", "--sigma", "identity", "--d", "2"],
+    ["pitman", "--gamma", "0"],
+    ["subsample", "--input", "data.csv", "--sizes", "10"],
+], ids=["test", "zeta-gaussian", "pitman", "subsample"])
+def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)  # refused before any input is read or output written
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_threads_flag_validates(tmp_path):

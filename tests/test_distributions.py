@@ -12,6 +12,7 @@ from spheresym.distributions import (
     LpSymmetric,
     Spiked,
     SphericalT,
+    Subsample,
     describe,
     sample,
 )
@@ -149,6 +150,17 @@ def test_describe_round_trip_strings():
         describe(Contaminated(0.25, Gaussian(d=2), Gaussian(d=2, rho=0.5)))
         == "contaminated(delta=0.25,f=gaussian(rho=0.0,d=2),g=gaussian(rho=0.5,d=2))"
     )
+    assert describe(Subsample(np.zeros((3, 2)), "data.csv")) == "subsample(data.csv)"
+
+
+def test_subsample_draws_rows_without_replacement():
+    data = np.arange(30.0).reshape(10, 3)
+    spec = Subsample(data, "rows")
+    assert spec.d == 3
+    drawn = sample(spec, 10, RngStream(4, (1, 2))).data
+    rows = RngStream(4, (1, 2)).generator().choice(10, size=10, replace=False)
+    assert np.array_equal(drawn, data[rows])
+    assert sorted(drawn[:, 0]) == list(data[:, 0])  # each row exactly once
 
 
 def test_sample_determinism_and_validation():

@@ -5,8 +5,9 @@ import re
 import numpy as np
 import pytest
 
-from spheresym import RngStream
-from spheresym.distributions import Contaminated, Gaussian, LpSymmetric, Spiked, SphericalT
+from spheresym import RngStream, Sample, experiments, run_test
+from spheresym.augment import CENTER_MODES
+from spheresym.distributions import Contaminated, Gaussian, LpSymmetric, Spiked, SphericalT, Subsample
 from spheresym.experiments import (
     CSV_COLUMNS,
     Cell,
@@ -32,6 +33,13 @@ def test_cell_and_config_validation():
         ExperimentConfig(name="x", cells=())
     with pytest.raises(ValueError):
         ExperimentConfig(name="x", cells=(Cell(Gaussian(d=2), 10),), R=0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        ExperimentConfig(name="x", cells=(Cell(Gaussian(d=2), 10),), seed=-1)
+    rows = Subsample(np.zeros((5, 2)), "five")
+    assert Cell(rows, 5).n == 5
+    for size in (1, 6):
+        with pytest.raises(ValueError, match=rf"{size} outside \[2, 5\]"):
+            Cell(rows, size)
 
 
 def test_power_record_derived_fields():
@@ -40,6 +48,8 @@ def test_power_record_derived_fields():
     assert rec.std_error == pytest.approx(math.sqrt(0.4 * 0.6 / 200))
     with pytest.raises(ValueError):
         PowerRecord(name="x", spec="g", n=10, d=2, R=10, B=50, alpha=0.05, rejections=11, seed=0)
+    with pytest.raises(ValueError, match="R must be >= 1, got 0"):
+        PowerRecord(name="x", spec="g", n=10, d=2, R=0, B=50, alpha=0.05, rejections=0, seed=0)
 
 
 def test_run_power_study_smoke_and_determinism():
@@ -97,7 +107,7 @@ def test_load_csv_matrix(tmp_path):
         load_csv_matrix(str(p))
 
 
-def test_run_subsample_study(tmp_path):
+def test_run_subsample_study(tmp_path, monkeypatch):
     gen = np.random.default_rng(4)
     data = gen.standard_normal((60, 3)) + [5.0, 0.0, 0.0]  # off-center
     p = tmp_path / "data.csv"
@@ -109,6 +119,41 @@ def test_run_subsample_study(tmp_path):
     assert recs == again
     with pytest.raises(ValueError, match="outside"):
         run_subsample_study(str(p), (61,), R=1)
+    # a bad later size is refused before the first cell runs
+    monkeypatch.setattr(experiments, "run_test", None)
+    with pytest.raises(ValueError, match="outside"):
+        run_subsample_study(str(p), (10, 61), R=1)
+
+
+@pytest.mark.parametrize("center_mode", CENTER_MODES)
+def test_subsample_study_replication_streams(tmp_path, monkeypatch, center_mode):
+    # replication r of cell ci uses RngStream(seed, (ci, r)): child(0) draws
+    # the subsample without replacement, child(1) runs the test
+    p = tmp_path / "data.csv"
+    np.savetxt(p, np.random.default_rng(8).standard_normal((30, 2)) + [0.4, 0.0], delimiter=",")
+    data = load_csv_matrix(str(p))
+    sizes, R, B, seed = (8, 15), 6, 40, 3
+    seen = []
+
+    def recording_run_test(*args, **kwargs):
+        seen.append(run_test(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(experiments, "run_test", recording_run_test)
+    recs = run_subsample_study(str(p), sizes, R=R, B=B, seed=seed, center_mode=center_mode)
+
+    expected, outcomes = [], []
+    for ci, size in enumerate(sizes):
+        rejections = 0
+        for r in range(R):
+            rep = RngStream(seed, (ci, r))
+            rows = rep.child(0).generator().choice(len(data), size=size, replace=False)
+            outcomes.append(run_test(Sample(data[rows]), rep.child(1), B=B, center_mode=center_mode))
+            rejections += int(outcomes[-1].reject)
+        expected.append(PowerRecord(name="data.csv", spec="subsample(data.csv)", n=size, d=2,
+                                    R=R, B=B, alpha=0.05, rejections=rejections, seed=seed))
+    assert recs == expected
+    assert seen == outcomes
 
 
 def test_write_records_outputs(tmp_path):
@@ -118,7 +163,7 @@ def test_write_records_outputs(tmp_path):
     prefix = str(tmp_path / "out" / "res")
     csv_path, json_path = write_records(recs, prefix, config_echo={"name": "x"})
     lines = open(csv_path).read().splitlines()
-    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert lines[0] == ",".join(CSV_COLUMNS) == "name,spec,n,d,R,B,alpha,rejections,power,std_error,seed"
     assert len(lines) == 2
     payload = json.loads(open(json_path).read())
     assert payload["config"] == {"name": "x"}
@@ -207,6 +252,13 @@ def test_parse_config_errors(tmp_path):
     p.write_text("name = x\n")
     with pytest.raises(ValueError, match="empty"):
         parse_config(str(p))
+
+
+def test_rng_stream_refuses_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        RngStream(-1)
+    with pytest.raises(ValueError, match="got -2"):
+        RngStream(-2, (0, 1))
 
 
 def test_replication_streams_are_cell_disjoint():
