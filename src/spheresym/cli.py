@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import json
+import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .experiments import (
 )
 from .oracle import CovSpec, HaarConfig, gaussian_zeta
 from .rng import RngStream
+from .threads import thread_limit
 
 
 def _add_common_test_flags(p: argparse.ArgumentParser):
@@ -46,8 +46,8 @@ def _add_common_test_flags(p: argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spheresym", description=__doc__)
     parser.add_argument("--threads", type=int, default=None,
-                        help="number of BLAS threads numpy uses during the command "
-                             "(needs threadpoolctl or numpy's bundled OpenBLAS)")
+                        help="number of threads numpy's BLAS and the Gram matrix build use "
+                             "during the command (needs threadpoolctl or numpy's bundled OpenBLAS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("test", help="test a CSV of observations for spherical symmetry")
@@ -85,44 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="results/subsample")
 
     return parser
-
-
-def _openblas_thread_controls():
-    """(get, set) thread-count entry points of the OpenBLAS bundled with numpy, or None."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))  # the copy numpy already loaded
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas", "openblas"):
-            get = getattr(lib, f"{prefix}_get_num_threads64_", None)
-            put = getattr(lib, f"{prefix}_set_num_threads64_", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-@contextlib.contextmanager
-def _openblas_limit(threads, get, put):
-    before = get()
-    put(threads)
-    try:
-        yield
-    finally:
-        put(before)
-
-
-def _thread_limit(threads):
-    """Context manager holding numpy's BLAS at ``threads`` threads; None if nothing can."""
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        controls = _openblas_thread_controls()
-        return None if controls is None else _openblas_limit(threads, *controls)
-    return threadpool_limits(limits=threads)
 
 
 def cmd_test(args) -> int:
@@ -200,8 +162,8 @@ def _pitman_study(args):
 
 def _subsample_study(args):
     config = subsample_config(
-        args.input, tuple(args.sizes), R=args.R, B=args.B, alpha=args.alpha, seed=args.seed,
-        center_mode=args.center, has_header=args.header,
+        args.data, os.path.basename(args.input), tuple(args.sizes), R=args.R, B=args.B,
+        alpha=args.alpha, seed=args.seed, center_mode=args.center,
     )
     echo = {"input": args.input, "sizes": args.sizes, "R": args.R, "B": args.B,
             "alpha": args.alpha, "seed": args.seed, "center": args.center}
@@ -214,6 +176,9 @@ _STUDIES = {"simulate": _simulate_study, "pitman": _pitman_study, "subsample": _
 
 def cmd_study(args) -> int:
     """Build the study (an invalid value exits 2), run it, print and write its records."""
+    if args.command == "subsample":
+        # Read before the usage-error wrapper: a bad file exits 1, as in `test`.
+        args.data = load_csv_matrix(args.input, has_header=args.header)
     try:
         config, out, echo = _STUDIES[args.command](args)
     except ValueError as exc:
@@ -246,7 +211,7 @@ def main(argv=None) -> int:
     if args.threads is not None:
         if args.threads < 1:
             parser.error(f"--threads must be >= 1, got {args.threads}")
-        limit = _thread_limit(args.threads)
+        limit = thread_limit(args.threads)
         if limit is None:
             print("error: --threads needs threadpoolctl or the OpenBLAS bundled with numpy; "
                   "found neither", file=sys.stderr)

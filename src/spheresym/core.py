@@ -9,21 +9,29 @@ with K(x, y) = exp(-||x - y||^2 / (2 d)).  The bandwidth is always the data
 dimension d; there is no user-tunable bandwidth.
 
 The pair values g_ij are computed once into the dense n x n matrix G of a
-:class:`GramCache` (8 n^2 bytes), from three n x n kernel blocks
-K(X, X), K(X', X') and K(X, X').  Summed in the order above, G is bit for bit
-the matrix a full 2n x 2n kernel matrix over the stacked rows would give,
-at a quarter of its memory.  The observed statistic and every swap resample
-are signed quadratic forms in G (:func:`swap_statistic`), so resampling (see
+:class:`GramCache` (8 n^2 bytes).  :func:`build_gram` fills G in square tiles
+of ``TILE`` rows, one upper tile pair (I, J), J >= I, at a time, on as many
+threads as numpy's BLAS is set to use (``threads.blas_threads``).  Besides G
+it needs only two tile buffers per thread, a few MB.  Summed in the order
+above, G is bit for bit the matrix a full 2n x 2n kernel matrix over the
+stacked rows would give.  The observed statistic and every swap resample are
+signed quadratic forms in G (:func:`swap_statistic`), so resampling (see
 ``calibrate``) never re-evaluates an exponential.
 """
 
 from __future__ import annotations
 
 import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
+
+from .threads import blas_threads
+
+TILE = 512  # rows per Gram tile; at n <= TILE, G is one diagonal tile
 
 
 @dataclass(frozen=True)
@@ -119,22 +127,57 @@ def _physical_memory_bytes() -> int | None:
     return pages * page_size
 
 
-def _kernel_block(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
+def _kernel_tile(a: np.ndarray, b: np.ndarray, d: int, buf: np.ndarray) -> np.ndarray:
+    """K(a, b), written into the front of the flat buffer ``buf``."""
+    out = buf[: len(a) * len(b)].reshape(len(a), len(b))
     # Direct squared differences (not the norm-expansion identity): exact
     # cancellation for identical rows matters for the g = 0 identities.
-    k = cdist(a, b, "sqeuclidean")
-    k /= -(2.0 * d)
-    return np.exp(k, out=k)
+    cdist(a, b, "sqeuclidean", out=out)
+    out /= -(2.0 * d)
+    return np.exp(out, out=out)
+
+
+def _fill_tile_pair(g, x, v, d, rows, cols, bufs) -> None:
+    """Write G's blocks (rows, cols) and (cols, rows); ``rows`` starts at or before ``cols``.
+
+    Every entry is summed as (Kxx + Kx'x') - E_ij - E_ji with E = K(X, X').
+    Squared distances are bit-for-bit symmetric, so the lower block starts as
+    the transpose of the upper one's Kxx + Kx'x'; only E is evaluated both ways.
+    A diagonal tile uses only the first of the two buffers ``bufs``.
+    """
+    a, b = bufs
+    upper = g[rows, cols]
+    np.copyto(upper, _kernel_tile(x[rows], x[cols], d, a))
+    upper += _kernel_tile(v[rows], v[cols], d, a)
+    diagonal = rows == cols
+    if not diagonal:
+        lower = g[cols, rows]
+        np.copyto(lower, upper.T)
+    e_upper = _kernel_tile(x[rows], v[cols], d, a)
+    upper -= e_upper
+    if diagonal:
+        upper -= e_upper.T
+        return
+    e_lower = _kernel_tile(x[cols], v[rows], d, b)
+    lower -= e_lower
+    upper -= e_lower.T
+    lower -= e_upper.T
 
 
 def build_gram(aug: AugmentedSample) -> GramCache:
-    """Evaluate G = K(X, X) + K(X', X') - E - E^T with E = K(X, X').
+    """Evaluate G = K(X, X) + K(X', X') - E - E^T with E = K(X, X'), tile pair by tile pair.
 
-    At most two n x n blocks are alive at once; a sample whose blocks would
-    not fit in physical memory is refused before anything is allocated.
+    Tile pairs are independent and ``cdist`` and ``exp`` release the GIL, so
+    they run on one thread per BLAS thread (at most one per tile pair), each
+    with two reused tile buffers.  A sample whose G and buffers would not fit
+    in physical memory is refused before anything is allocated.
     """
     n, d = aug.n, aug.d
-    need = 16 * n * n
+    tile = min(TILE, n)
+    starts = range(0, n, tile)
+    pairs = [(slice(r, r + tile), slice(c, c + tile)) for r in starts for c in starts if c >= r]
+    workers = min(blas_threads(), len(pairs))
+    need = 8 * n * n + workers * 2 * tile * tile * 8
     memory = _physical_memory_bytes()
     if memory is not None and need > memory:
         raise ValueError(
@@ -142,12 +185,30 @@ def build_gram(aug: AugmentedSample) -> GramCache:
             f"more than the {memory} bytes of physical memory"
         )
     x, v = aug.original.data, aug.variant
-    # This summation order keeps G bit-identical to the 2n x 2n derivation.
-    g = _kernel_block(x, x, d)
-    g += _kernel_block(v, v, d)
-    e = _kernel_block(x, v, d)
-    g -= e
-    g -= e.T
+    g = np.empty((n, n))
+    # A one-tile G needs no second buffer; allocating one anyway costs every
+    # small-sample build a fresh n x n block of page faults (~15% at n = 500).
+    second = len(pairs) > 1
+    buffers = [(np.empty(tile * tile), np.empty(tile * tile) if second else None)
+               for _ in range(workers)]
+    if workers == 1:
+        for rows, cols in pairs:
+            _fill_tile_pair(g, x, v, d, rows, cols, buffers[0])
+    else:
+        jobs = queue.SimpleQueue()
+        for pair in pairs:
+            jobs.put(pair)
+
+        def drain(bufs):
+            while True:
+                try:
+                    rows, cols = jobs.get_nowait()
+                except queue.Empty:
+                    return
+                _fill_tile_pair(g, x, v, d, rows, cols, bufs)
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(drain, buffers))
     np.fill_diagonal(g, 0.0)
     g.flags.writeable = False
     return GramCache(g=g, n=n, d=d)
@@ -170,8 +231,9 @@ def swap_statistic(cache: GramCache, signs: np.ndarray):
     s_i = +1 keeps pair i and s_i = -1 swaps it, so all ones gives the
     observed statistic, and -s gives the same value as s.  ``signs`` is one
     length-n vector (returns a float) or an (m, n) array of them (returns m
-    values); any entry other than +1 or -1 is refused.  Every statistic the
-    package reports, observed or resampled, is computed here.
+    values); any entry other than +1 or -1 is refused, and so is a value
+    outside [-2, 2].  Every statistic the package reports, observed or
+    resampled, is computed and range-checked here.
     """
     n = cache.n
     if n < 2:
@@ -183,6 +245,8 @@ def swap_statistic(cache: GramCache, signs: np.ndarray):
         raise ValueError("sign entries must be +1 or -1")
     rows = np.atleast_2d(s)
     values = np.einsum("ij,ij->i", rows @ cache.g, rows) / (n * (n - 1))
+    if not (np.abs(values) <= 2.0 + 1e-12).all():
+        raise ValueError(f"statistic out of range [-2, 2]: {values[np.argmax(np.abs(values))]}")
     return float(values[0]) if s.ndim == 1 else values
 
 

@@ -213,21 +213,19 @@ def load_csv_matrix(path: str, has_header: bool = False) -> np.ndarray:
 
 
 def subsample_config(
-    csv_path: str,
+    data: np.ndarray,
+    name: str,
     subsample_sizes: tuple[int, ...],
     R: int = 200,
     B: int = DEFAULT_B,
     alpha: float = DEFAULT_ALPHA,
     seed: int = 0,
     center_mode: str = "spatial-median",
-    has_header: bool = False,
 ) -> ExperimentConfig:
-    """The subsampling study of a CSV dataset, one cell per subsample size.
+    """The subsampling study of a dataset named ``name``, one cell per subsample size.
 
     Centering (spatial median by default) is recomputed per subsample.
     """
-    data = load_csv_matrix(csv_path, has_header=has_header)
-    name = os.path.basename(csv_path)
     cells = tuple(Cell(Subsample(data, name), size) for size in subsample_sizes)
     return ExperimentConfig(
         name=name, cells=cells, R=R, B=B, alpha=alpha, seed=seed, center_mode=center_mode
@@ -245,8 +243,11 @@ def run_subsample_study(
     has_header: bool = False,
 ) -> list[PowerRecord]:
     """Rejection fraction over random without-replacement subsamples."""
+    data = load_csv_matrix(csv_path, has_header=has_header)
     return run_power_study(
-        subsample_config(csv_path, subsample_sizes, R, B, alpha, seed, center_mode, has_header)
+        subsample_config(
+            data, os.path.basename(csv_path), subsample_sizes, R, B, alpha, seed, center_mode
+        )
     )
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from spheresym import (
     AugmentedSample,
+    GramCache,
     RngStream,
     Sample,
     augment,
@@ -78,6 +79,22 @@ def test_resample_length_mismatch():
     _, cache = _random_cache(5)
     with pytest.raises(ValueError):
         swap_statistic(cache, np.ones(5))
+
+
+def test_swap_statistic_refuses_values_outside_the_range():
+    # entries of a real G lie in [-2, 2]; a corrupt cache must fail loudly,
+    # for the observed value and for every resample, in run_test's p-values too
+    g = np.full((4, 4), 3.0)
+    np.fill_diagonal(g, 0.0)
+    cache = GramCache(g=g, n=4, d=1)
+    with pytest.raises(ValueError, match=r"out of range \[-2, 2\]: 3"):
+        swap_statistic(cache, np.ones(4))
+    with pytest.raises(ValueError, match="out of range"):
+        swap_statistic(cache, np.array([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, 1.0, 1.0]]))
+    with pytest.raises(ValueError, match="out of range"):
+        mc_pvalue(cache, 10, RngStream(0))
+    with pytest.raises(ValueError, match="out of range"):
+        exact_pvalue(cache)
 
 
 def test_exact_pvalue_floor_from_swap_symmetry():

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from spheresym import cli
+from spheresym import cli, core, threads
 from spheresym.cli import main
 
 
@@ -52,6 +52,19 @@ def test_test_command_missing_input(tmp_path, capsys):
     rc = main(["test", "--input", str(tmp_path / "nope.csv")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["test"],
+    ["subsample", "--sizes", "2"],
+], ids=["test", "subsample"])
+def test_malformed_csv_exits_1(tmp_path, monkeypatch, capsys, argv):
+    # a file that cannot be parsed is a runtime failure in every subcommand
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.csv").write_text("1.0,2.0\n1.0,oops\n")
+    assert main([*argv, "--input", "bad.csv"]) == 1
+    assert "line 2: non-numeric field" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.csv"]
 
 
 def test_test_command_bad_alpha_and_B(tmp_path, capsys):
@@ -213,16 +226,28 @@ def test_threads_flag_validates(tmp_path):
 def test_threads_without_any_thread_control_exits_2(tmp_path, monkeypatch, capsys):
     path = _write_data(tmp_path, seed=8)
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
-    monkeypatch.setattr(cli, "_openblas_thread_controls", lambda: None)
+    monkeypatch.setattr(threads, "openblas_thread_controls", lambda: None)
     assert main(["--threads", "1", "test", "--input", str(path), "--B", "20"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --threads needs threadpoolctl")
     assert len(err.splitlines()) == 1
 
 
+def test_threads_1_builds_the_gram_matrix_on_one_thread(tmp_path, monkeypatch):
+    if threads.thread_limit(1) is None:
+        pytest.skip("no control of numpy's BLAS threads here")
+
+    def no_pool(*args):
+        raise AssertionError("the Gram build started a thread pool")
+
+    monkeypatch.setattr(core, "ThreadPoolExecutor", no_pool)
+    path = _write_data(tmp_path, n=core.TILE + 1, seed=8)  # two tiles, three tile pairs
+    assert main(["--threads", "1", "test", "--input", str(path), "--B", "20"]) == 0
+
+
 def test_threads_holds_openblas_for_the_command(tmp_path, monkeypatch):
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # use numpy's OpenBLAS directly
-    controls = cli._openblas_thread_controls()
+    controls = threads.openblas_thread_controls()
     if controls is None:
         pytest.skip("numpy has no bundled OpenBLAS here")
     get, _ = controls

@@ -13,7 +13,7 @@ from spheresym import (
     build_gram,
     zeta_hat,
 )
-from spheresym import core
+from spheresym import core, threads
 from oracles import dense_kernel_matrix, g_from_kernel_matrix, naive_g, naive_kernel, naive_zeta, swap_pairs
 
 # hand value for the pairs ((1,0),(0,1)) and ((-1,0),(0,-1)) in d=2
@@ -146,6 +146,9 @@ def test_gram_properties_random():
         (64, 3, "mixed"),
         (20, 3, "repeated"),
         (500, 10, 1.0),
+        (513, 10, 1.0),  # one row past a tile
+        (1100, 4, 1.0),  # a ragged third tile
+        (600, 3, "repeated"),  # repeated rows across tiles
     ],
 )
 def test_build_gram_bit_identical_to_dense_kernel(n, d, scale):
@@ -165,9 +168,39 @@ def test_build_gram_bit_identical_to_dense_kernel(n, d, scale):
     assert not cache.g.flags.writeable
 
 
+def _tiled_aug(n=1100, d=5):
+    return augment(Sample(np.random.default_rng([n, d, 1]).standard_normal((n, d))), RngStream(n))
+
+
+def test_build_gram_same_bits_on_one_and_two_threads():
+    if threads.openblas_thread_controls() is None:
+        pytest.skip("numpy's OpenBLAS thread count cannot be read or set here")
+    aug = _tiled_aug()
+    grams = []
+    for k in (1, 2):
+        with threads.thread_limit(k):
+            assert threads.blas_threads() == k
+            grams.append(build_gram(aug).g)
+    assert np.array_equal(grams[0], grams[1])
+    assert np.array_equal(grams[0], g_from_kernel_matrix(dense_kernel_matrix(aug.original.data, aug.variant)))
+
+
+def _no_pool(*args):
+    raise AssertionError("the Gram build started a thread pool")
+
+
+def test_build_gram_runs_serially_without_thread_control(monkeypatch):
+    aug = _tiled_aug()
+    want = build_gram(aug).g
+    monkeypatch.setattr(threads, "openblas_thread_controls", lambda: None)
+    monkeypatch.setattr(core, "ThreadPoolExecutor", _no_pool)
+    assert threads.blas_threads() == 1
+    assert np.array_equal(build_gram(aug).g, want)
+
+
 def test_build_gram_refuses_more_than_physical_memory(monkeypatch):
     aug = augment(Sample(np.random.default_rng(9).standard_normal((10, 2))), RngStream(9))
-    need = 16 * 10 * 10
+    need = 8 * 10 * 10 + 2 * 10 * 10 * 8  # G plus one worker's two tile buffers
     monkeypatch.setattr(core, "_physical_memory_bytes", lambda: need - 1)
     with pytest.raises(ValueError, match=f"n = 10 needs about {need} bytes"):
         build_gram(aug)
