@@ -200,7 +200,7 @@ def test_build_gram_runs_serially_without_thread_control(monkeypatch):
 
 def test_build_gram_refuses_more_than_physical_memory(monkeypatch):
     aug = augment(Sample(np.random.default_rng(9).standard_normal((10, 2))), RngStream(9))
-    need = 8 * 10 * 10 + 2 * 10 * 10 * 8  # G plus one worker's two tile buffers
+    need = 8 * 10 * 10 + 10 * 10 * 8  # G plus the one tile buffer of a one-tile G
     monkeypatch.setattr(core, "_physical_memory_bytes", lambda: need - 1)
     with pytest.raises(ValueError, match=f"n = 10 needs about {need} bytes"):
         build_gram(aug)
@@ -208,6 +208,19 @@ def test_build_gram_refuses_more_than_physical_memory(monkeypatch):
     assert build_gram(aug).n == 10
     monkeypatch.setattr(core, "_physical_memory_bytes", lambda: None)
     assert build_gram(aug).n == 10
+
+
+def test_memory_guard_counts_two_buffers_per_worker_for_a_tiled_gram(monkeypatch):
+    aug = augment(Sample(np.random.default_rng(9).standard_normal((10, 2))), RngStream(9))
+    monkeypatch.setattr(core, "TILE", 4)  # three tiles, six tile pairs
+    monkeypatch.setattr(core, "blas_threads", lambda: 2)
+    need = 8 * 10 * 10 + 2 * 2 * 4 * 4 * 8  # G plus two workers' two tile buffers
+    monkeypatch.setattr(core, "_physical_memory_bytes", lambda: need - 1)
+    with pytest.raises(ValueError, match=f"n = 10 needs about {need} bytes"):
+        build_gram(aug)
+    monkeypatch.setattr(core, "_physical_memory_bytes", lambda: need)
+    want = g_from_kernel_matrix(dense_kernel_matrix(aug.original.data, aug.variant))
+    assert np.array_equal(build_gram(aug).g, want)
 
 
 def test_zeta_hat_n2_hand_value():
