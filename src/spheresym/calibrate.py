@@ -19,7 +19,7 @@ differ in the last bits, which the tie guard absorbs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -54,19 +54,7 @@ class TestOutcome:
             raise ValueError("decision inconsistent with p-value")
 
     def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "method": self.method,
-            "B": self.B,
-            "alpha": self.alpha,
-            "reject": self.reject,
-            "n": self.n,
-            "d": self.d,
-            "seed": self.seed,
-            "center": self.center,
-            "c_alpha_bound": self.c_alpha_bound,
-        }
+        return asdict(self)
 
 
 def cutoff_bound(n: int, alpha: float) -> float:

@@ -6,12 +6,22 @@ Haar measure, which are estimated here by Monte Carlo.  For a covariance that
 is a scalar multiple of the identity, every rotation fixes the law and the
 measure is exactly zero; that case short-circuits.
 
+The Haar draws are made in chunks on the calling thread, in a fixed order, so
+the seed fixes every draw.  The work on each chunk (QR, sign fix, conjugation,
+log-determinants) acts matrix by matrix, and runs in blocks of consecutive
+rows on as many threads as numpy's BLAS is set to use, so ``--threads`` (or
+``OPENBLAS_NUM_THREADS``) caps it too; the estimate and its standard error are
+bit-identical for any thread count.
+
 A generic large-sample Monte Carlo estimate (``mc_zeta``) is also provided,
 exploiting unbiasedness of the pairwise statistic.
 """
 
 from __future__ import annotations
 
+import contextlib
+import numbers
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +29,11 @@ import numpy as np
 from .augment import augment
 from .core import Sample, build_gram, zeta_hat
 from .rng import RngStream
+from .threads import blas_threads
 
 _HAAR_CHUNK = 20_000
+# Rows per thread task; keeps QR's temporaries to a few MB at d = 10.
+_HAAR_BLOCK = 2_000
 
 
 @dataclass(frozen=True)
@@ -54,8 +67,14 @@ class HaarConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("m", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def gaussian_pair_term(sigma1: CovSpec, sigma2: CovSpec, d: int) -> float:
@@ -81,21 +100,31 @@ def sample_haar_orthogonal(d: int, rng: RngStream) -> np.ndarray:
 
 
 def _haar_batch(d: int, m: int, gen: np.random.Generator) -> np.ndarray:
-    a = gen.standard_normal((m, d, d))
+    return _haar_from_normals(gen.standard_normal((m, d, d)))
+
+
+def _haar_from_normals(a: np.ndarray) -> np.ndarray:
+    """Haar orthogonal matrices from a batch of standard normal ones (QR, sign fix)."""
     q, r = np.linalg.qr(a)
+    # Mezzadri's fix: make R's diagonal positive so that Q is Haar distributed.
     signs = np.sign(np.einsum("mii->mi", r))
     signs[signs == 0] = 1.0
-    return q * signs[:, None, :]
+    q *= signs[:, None, :]
+    return q
 
 
-def _conjugate(h: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    return np.einsum("mij,jk,mlk->mil", h, sigma, h)
+def _conjugate(h: np.ndarray, sigma: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """H Sigma H^T for every H in the batch ``h``, as two batched matmuls."""
+    return np.matmul(h @ sigma, h.transpose(0, 2, 1), out=out)
 
 
-def _batch_pair_values(s1: np.ndarray, s2: np.ndarray, d: int) -> np.ndarray:
-    m = (s1 + s2) / d + np.eye(d)
+def _pair_values(out: np.ndarray, s1: np.ndarray, s2: np.ndarray, d: int) -> None:
+    """det((S1 + S2)/d + I)^(-1/2) for each pair into ``out``; the sums overwrite ``s2``."""
+    m = np.add(s1, s2, out=s2)
+    m /= d
+    m += np.eye(d)
     _, logdet = np.linalg.slogdet(m)
-    return np.exp(-0.5 * logdet)
+    np.exp(-0.5 * logdet, out=out)
 
 
 def is_scalar_identity(sigma: CovSpec, tol: float = 1e-12) -> bool:
@@ -104,24 +133,30 @@ def is_scalar_identity(sigma: CovSpec, tol: float = 1e-12) -> bool:
 
 
 def _chunked_mean_var(values, m: int) -> tuple[float, float]:
-    """Mean and variance of m values, drawn by ``values(k)`` in chunks of k <= _HAAR_CHUNK."""
-    total = total_sq = 0.0
-    remaining = m
-    while remaining > 0:
-        k = min(remaining, _HAAR_CHUNK)
+    """Mean and variance of m values, drawn by ``values(k)`` in chunks of k <= _HAAR_CHUNK.
+
+    Each chunk's squared deviations are summed about its own mean, and the
+    chunks are merged with the update of Chan, Golub and LeVeque, so the
+    variance does not cancel away when the values barely vary.
+    """
+    mean = m2 = 0.0
+    done = 0
+    while done < m:
+        k = min(m - done, _HAAR_CHUNK)
         vals = values(k)
-        total += vals.sum()
-        total_sq += (vals**2).sum()
-        remaining -= k
-    mean = total / m
-    return mean, max(total_sq / m - mean**2, 0.0)
+        chunk_mean = vals.mean()
+        delta = chunk_mean - mean
+        mean += delta * k / (done + k)
+        m2 += ((vals - chunk_mean) ** 2).sum() + delta**2 * done * k / (done + k)
+        done += k
+    return mean, m2 / m
 
 
 def gaussian_zeta(sigma: CovSpec, d: int, haar: HaarConfig = HaarConfig()) -> tuple[float, float]:
     """Closed-form-plus-Haar-MC value of the measure for N(0, Sigma).
 
     Returns (estimate, std_error).  Exact (0, 0) when Sigma is a scalar
-    multiple of the identity.
+    multiple of the identity.  Bit-identical for any number of BLAS threads.
     """
     if sigma.d != d:
         raise ValueError("covariance dimension does not match d")
@@ -132,20 +167,38 @@ def gaussian_zeta(sigma: CovSpec, d: int, haar: HaarConfig = HaarConfig()) -> tu
 
     gen = RngStream(haar.seed, (0,)).generator()
     s = sigma.sigma
+    workers = blas_threads()
+    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
 
-    def double(k):
-        # independent (H1, H2) pairs
-        h1 = _haar_batch(d, k, gen)
-        h2 = _haar_batch(d, k, gen)
-        return _batch_pair_values(_conjugate(h1, s), _conjugate(h2, s), d)
+        def split(fn, *arrays):
+            # fn on consecutive blocks of the arrays' rows, spread over the threads
+            blocks = [[a[lo:lo + _HAAR_BLOCK] for a in arrays]
+                      for lo in range(0, len(arrays[0]), _HAAR_BLOCK)]
+            list((map if pool is None else pool.map)(lambda block: fn(*block), blocks))
 
-    def single(k):
-        h = _haar_batch(d, k, gen)
-        return _batch_pair_values(np.broadcast_to(s, (k, d, d)), _conjugate(h, s), d)
+        def conjugated(k):
+            # Drawn here, in order, so that the seed fixes every H; each block
+            # of normals is then overwritten with its H Sigma H^T.
+            a = gen.standard_normal((k, d, d))
+            split(lambda part: _conjugate(_haar_from_normals(part), s, out=part), a)
+            return a
 
-    mean_d, var_d = _chunked_mean_var(double, haar.m)
-    # single integral: fresh draws, after and independent of the double-integral draws
-    mean_s, var_s = _chunked_mean_var(single, haar.m)
+        def pair_values(s1, s2):
+            out = np.empty(len(s2))
+            split(lambda o, p1, p2: _pair_values(o, p1, p2, d), out, s1, s2)
+            return out
+
+        def double(k):
+            # independent (H1, H2) pairs
+            s1 = conjugated(k)
+            return pair_values(s1, conjugated(k))
+
+        def single(k):
+            return pair_values(np.broadcast_to(s, (k, d, d)), conjugated(k))
+
+        mean_d, var_d = _chunked_mean_var(double, haar.m)
+        # single integral: fresh draws, after and independent of the double-integral draws
+        mean_s, var_s = _chunked_mean_var(single, haar.m)
 
     estimate = term1 + mean_d - 2.0 * mean_s
     std_error = float(np.sqrt(var_d / haar.m + 4.0 * var_s / haar.m))

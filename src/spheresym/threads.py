@@ -1,8 +1,9 @@
 """Thread counts of numpy's BLAS, read and held for the duration of a call.
 
 ``--threads`` holds numpy's BLAS through :func:`thread_limit`, and the Gram
-build reads the same count through :func:`blas_threads`, so one setting caps
-both.
+build and the Gaussian Haar oracle read the same count through
+:func:`blas_threads`, so one setting (or ``OPENBLAS_NUM_THREADS``) caps all
+three.
 """
 
 from __future__ import annotations

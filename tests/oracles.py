@@ -5,7 +5,9 @@ exponentials with double loops, resamples rebuild the swapped dataset from
 scratch, and the 2-d rotation integrals use composite Simpson quadrature.
 Nothing imports the fast paths it is meant to check; ``direct_exact_pvalue``
 checks only the enumeration of ``calibrate.exact_pvalue`` and so evaluates
-each mask through ``core.swap_statistic``.
+each mask through ``core.swap_statistic``; ``serial_gaussian_zeta`` checks
+only how ``oracle.gaussian_zeta`` computes its draws and so reuses its seed,
+chunk size and closed-form term.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from spheresym.core import AugmentedSample, Sample, swap_statistic
+from spheresym.oracle import _HAAR_CHUNK, gaussian_pair_term, is_scalar_identity
+from spheresym.rng import RngStream
 
 
 def naive_kernel(x, y, d):
@@ -175,3 +179,49 @@ def quadrature_gaussian_zeta_2d(sigma: np.ndarray, k: int = 120) -> float:
                     double += 0.25 * w1 * w2 * _pair_value(s1, s2)
 
     return term1 + double - 2.0 * single
+
+
+# -- Gaussian oracle, serially ------------------------------------------------
+#
+# The same Haar draws as ``gaussian_zeta``, in the same order (per chunk of the
+# double integral H1 then H2, then the single integral's chunks), conjugated
+# with one einsum and reduced on one thread; the variance is numpy's two-pass
+# variance over all values at once.
+
+
+def _serial_haar(d, k, gen):
+    q, r = np.linalg.qr(gen.standard_normal((k, d, d)))
+    signs = np.sign(np.einsum("mii->mi", r))
+    signs[signs == 0] = 1.0
+    return q * signs[:, None, :]
+
+
+def einsum_conjugate(h, sigma):
+    return np.einsum("mij,jk,mlk->mil", h, sigma, h)
+
+
+def _serial_pair_values(s1, s2, d):
+    _, logdet = np.linalg.slogdet((s1 + s2) / d + np.eye(d))
+    return np.exp(-0.5 * logdet)
+
+
+def serial_gaussian_zeta(cov, d, haar) -> tuple[float, float]:
+    """(estimate, std_error) of ``gaussian_zeta(cov, d, haar)``, computed serially."""
+    if is_scalar_identity(cov):
+        return 0.0, 0.0
+    gen = RngStream(haar.seed, (0,)).generator()
+    s = cov.sigma
+    sizes = [min(_HAAR_CHUNK, haar.m - start) for start in range(0, haar.m, _HAAR_CHUNK)]
+    double = []
+    for k in sizes:
+        h1 = _serial_haar(d, k, gen)
+        h2 = _serial_haar(d, k, gen)
+        double.append(_serial_pair_values(einsum_conjugate(h1, s), einsum_conjugate(h2, s), d))
+    single = []
+    for k in sizes:
+        h = _serial_haar(d, k, gen)
+        single.append(_serial_pair_values(np.broadcast_to(s, (k, d, d)), einsum_conjugate(h, s), d))
+    double, single = np.concatenate(double), np.concatenate(single)
+    estimate = gaussian_pair_term(cov, cov, d) + double.mean() - 2.0 * single.mean()
+    std_error = math.sqrt(double.var() / haar.m + 4.0 * single.var() / haar.m)
+    return float(estimate), std_error

@@ -14,9 +14,10 @@ from spheresym import (
     sample_haar_orthogonal,
     zeta_hat,
 )
+from spheresym import oracle, threads
 from spheresym.distributions import Contaminated, Gaussian
-from spheresym.oracle import _haar_batch, is_scalar_identity
-from oracles import quadrature_gaussian_zeta_2d
+from spheresym.oracle import _chunked_mean_var, _conjugate, _haar_batch, is_scalar_identity
+from oracles import einsum_conjugate, quadrature_gaussian_zeta_2d, serial_gaussian_zeta
 
 
 def test_covspec_validation():
@@ -169,3 +170,64 @@ def test_concentration_bound_sanity():
 def test_haar_config_validation():
     with pytest.raises(ValueError):
         HaarConfig(m=0)
+    with pytest.raises(ValueError, match="m must be an integer"):
+        HaarConfig(m=1000.0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        HaarConfig(seed=-1)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        HaarConfig(seed=1.5)
+    assert HaarConfig(m=np.int64(5), seed=np.int64(3)).m == 5
+
+
+def _random_cov(d, seed):
+    a = np.random.default_rng(seed).standard_normal((d, d))
+    s = a @ a.T / d + 0.5 * np.eye(d)
+    return CovSpec((s + s.T) / 2.0)
+
+
+def test_conjugate_matches_einsum():
+    for d in (1, 2, 5, 10):
+        h = _haar_batch(d, 500, RngStream(20, (d,)).generator())
+        sigma = _random_cov(d, d).sigma
+        want = einsum_conjugate(h, sigma)
+        assert np.abs(_conjugate(h, sigma) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+# m = 1 gives fewer draws than threads; 20_001 is one more than a chunk.
+@pytest.mark.parametrize("m", [1, 3, 20_001])
+@pytest.mark.parametrize("d", [1, 2, 5, 10])
+def test_gaussian_zeta_matches_serial_einsum(d, m):
+    cov = _random_cov(d, 21 + d)
+    got = gaussian_zeta(cov, d, HaarConfig(m=m, seed=22))
+    want = serial_gaussian_zeta(cov, d, HaarConfig(m=m, seed=22))
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_gaussian_zeta_same_bits_on_one_and_two_threads():
+    if threads.openblas_thread_controls() is None:
+        pytest.skip("numpy's OpenBLAS thread count cannot be read or set here")
+    cov = _random_cov(5, 23)
+    results = []
+    for k in (1, 2):
+        with threads.thread_limit(k):
+            assert threads.blas_threads() == k
+            results.append(gaussian_zeta(cov, 5, HaarConfig(m=20_001, seed=24)))
+    assert results[0] == results[1]
+
+
+def test_gaussian_zeta_std_error_near_isotropy():
+    # A one-pass E[x^2] - mean^2 cancels to exactly 0 here; the standard error is ~3e-14.
+    d = 10
+    cov = CovSpec(np.diag([1.0 + 1e-4] + [1.0] * (d - 1)))
+    _, se = gaussian_zeta(cov, d, HaarConfig(m=20_000, seed=0))
+    _, want = serial_gaussian_zeta(cov, d, HaarConfig(m=20_000, seed=0))
+    assert se > 0.0
+    assert se == pytest.approx(want, rel=1e-6)
+
+
+def test_chunked_mean_var_merges_chunks_without_cancellation():
+    values = 1.0 + 1e-9 * np.random.default_rng(27).standard_normal(2 * oracle._HAAR_CHUNK + 7)
+    chunks = iter(np.split(values, [oracle._HAAR_CHUNK, 2 * oracle._HAAR_CHUNK]))
+    mean, var = _chunked_mean_var(lambda k: next(chunks), len(values))
+    assert mean == pytest.approx(values.mean(), rel=1e-15)
+    assert var == pytest.approx(values.var(), rel=1e-9)
