@@ -1,6 +1,6 @@
 """Kernel test for spherical symmetry with swap-resampling calibration."""
 
-from .augment import augment, center, sample_unit_sphere, spatial_median
+from .augment import augment, center, spatial_median
 from .calibrate import (
     TestOutcome,
     critical_value,
@@ -17,7 +17,7 @@ from .core import (
     swap_statistic,
     zeta_hat,
 )
-from .oracle import CovSpec, HaarConfig, gaussian_pair_term, gaussian_zeta, mc_zeta, sample_haar_orthogonal
+from .oracle import CovSpec, HaarConfig, gaussian_pair_term, gaussian_zeta, mc_zeta
 from .rng import RngStream
 
 __all__ = [
@@ -39,8 +39,6 @@ __all__ = [
     "mc_pvalue",
     "mc_zeta",
     "run_test",
-    "sample_haar_orthogonal",
-    "sample_unit_sphere",
     "spatial_median",
     "swap_statistic",
     "zeta_hat",

@@ -22,13 +22,6 @@ CENTER_MODES = ("none", "spatial-median")
 _MIN_NORM = 1e-300
 
 
-def sample_unit_sphere(d: int, rng: RngStream) -> np.ndarray:
-    """One uniform draw from the surface of the unit sphere in R^d."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    return _unit_rows(1, d, rng.generator())[0]
-
-
 def _unit_rows(n: int, d: int, gen: np.random.Generator) -> np.ndarray:
     """n independent uniform sphere points, one per row."""
     z = gen.standard_normal((n, d))

@@ -9,9 +9,9 @@ measure is exactly zero; that case short-circuits.
 The Haar draws are made in chunks on the calling thread, in a fixed order, so
 the seed fixes every draw.  The work on each chunk (QR, sign fix, conjugation,
 log-determinants) acts matrix by matrix, and runs in blocks of consecutive
-rows on as many threads as numpy's BLAS is set to use, so ``--threads`` (or
-``OPENBLAS_NUM_THREADS``) caps it too; the estimate and its standard error are
-bit-identical for any thread count.
+rows through ``threads.fan_out``, as the Gram build's tiles do, on as many
+threads as numpy's BLAS is set to use, so ``--threads`` caps it too; the
+estimate and its standard error are bit-identical for any thread count.
 
 A generic large-sample Monte Carlo estimate (``mc_zeta``) is also provided,
 exploiting unbiasedness of the pairwise statistic.
@@ -19,17 +19,15 @@ exploiting unbiasedness of the pairwise statistic.
 
 from __future__ import annotations
 
-import contextlib
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .augment import augment
-from .core import Sample, build_gram, zeta_hat
+from .core import build_gram, zeta_hat
 from .rng import RngStream
-from .threads import blas_threads
+from .threads import blas_threads, fan_out
 
 _HAAR_CHUNK = 20_000
 # Rows per thread task; keeps QR's temporaries to a few MB at d = 10.
@@ -90,17 +88,6 @@ def gaussian_pair_term(sigma1: CovSpec, sigma2: CovSpec, d: int) -> float:
     if sign <= 0:
         raise ValueError("determinant not positive; inputs not PSD?")
     return float(np.exp(-0.5 * logdet))
-
-
-def sample_haar_orthogonal(d: int, rng: RngStream) -> np.ndarray:
-    """One Haar-distributed orthogonal matrix (QR with sign correction)."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    return _haar_batch(d, 1, rng.generator())[0]
-
-
-def _haar_batch(d: int, m: int, gen: np.random.Generator) -> np.ndarray:
-    return _haar_from_normals(gen.standard_normal((m, d, d)))
 
 
 def _haar_from_normals(a: np.ndarray) -> np.ndarray:
@@ -167,38 +154,37 @@ def gaussian_zeta(sigma: CovSpec, d: int, haar: HaarConfig = HaarConfig()) -> tu
 
     gen = RngStream(haar.seed, (0,)).generator()
     s = sigma.sigma
-    workers = blas_threads()
-    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+    workers = range(blas_threads())  # fan_out's states; the blocks need none
 
-        def split(fn, *arrays):
-            # fn on consecutive blocks of the arrays' rows, spread over the threads
-            blocks = [[a[lo:lo + _HAAR_BLOCK] for a in arrays]
-                      for lo in range(0, len(arrays[0]), _HAAR_BLOCK)]
-            list((map if pool is None else pool.map)(lambda block: fn(*block), blocks))
+    def split(fn, *arrays):
+        # fn on consecutive blocks of the arrays' rows, spread over the threads
+        blocks = [[a[lo:lo + _HAAR_BLOCK] for a in arrays]
+                  for lo in range(0, len(arrays[0]), _HAAR_BLOCK)]
+        fan_out(lambda _, block: fn(*block), blocks, workers)
 
-        def conjugated(k):
-            # Drawn here, in order, so that the seed fixes every H; each block
-            # of normals is then overwritten with its H Sigma H^T.
-            a = gen.standard_normal((k, d, d))
-            split(lambda part: _conjugate(_haar_from_normals(part), s, out=part), a)
-            return a
+    def conjugated(k):
+        # Drawn here, in order, so that the seed fixes every H; each block
+        # of normals is then overwritten with its H Sigma H^T.
+        a = gen.standard_normal((k, d, d))
+        split(lambda part: _conjugate(_haar_from_normals(part), s, out=part), a)
+        return a
 
-        def pair_values(s1, s2):
-            out = np.empty(len(s2))
-            split(lambda o, p1, p2: _pair_values(o, p1, p2, d), out, s1, s2)
-            return out
+    def pair_values(s1, s2):
+        out = np.empty(len(s2))
+        split(lambda o, p1, p2: _pair_values(o, p1, p2, d), out, s1, s2)
+        return out
 
-        def double(k):
-            # independent (H1, H2) pairs
-            s1 = conjugated(k)
-            return pair_values(s1, conjugated(k))
+    def double(k):
+        # independent (H1, H2) pairs
+        s1 = conjugated(k)
+        return pair_values(s1, conjugated(k))
 
-        def single(k):
-            return pair_values(np.broadcast_to(s, (k, d, d)), conjugated(k))
+    def single(k):
+        return pair_values(np.broadcast_to(s, (k, d, d)), conjugated(k))
 
-        mean_d, var_d = _chunked_mean_var(double, haar.m)
-        # single integral: fresh draws, after and independent of the double-integral draws
-        mean_s, var_s = _chunked_mean_var(single, haar.m)
+    mean_d, var_d = _chunked_mean_var(double, haar.m)
+    # single integral: fresh draws, after and independent of the double-integral draws
+    mean_s, var_s = _chunked_mean_var(single, haar.m)
 
     estimate = term1 + mean_d - 2.0 * mean_s
     std_error = float(np.sqrt(var_d / haar.m + 4.0 * var_s / haar.m))

@@ -1,9 +1,10 @@
-"""Thread counts of numpy's BLAS, read and held for the duration of a call.
+"""Thread counts of numpy's BLAS, and the one fan-out of work over threads.
 
 ``--threads`` holds numpy's BLAS through :func:`thread_limit`, and the Gram
 build and the Gaussian Haar oracle read the same count through
-:func:`blas_threads`, so one setting (or ``OPENBLAS_NUM_THREADS``) caps all
-three.
+:func:`blas_threads` and run their work through :func:`fan_out`, so one
+setting (or ``OPENBLAS_NUM_THREADS``) caps all three.  :func:`fan_out` is the
+only place in the package that starts threads.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -45,17 +48,48 @@ def _openblas_limit(threads, get, put):
         put(before)
 
 
+@contextlib.contextmanager
+def _threadpoolctl_limit(threads, threadpool_limits):
+    # threadpoolctl sets the limit when the object is built, so build it on enter.
+    with threadpool_limits(limits=threads):
+        yield
+
+
 def thread_limit(threads):
-    """Context manager holding numpy's BLAS at ``threads`` threads; None if nothing can."""
+    """Context manager holding numpy's BLAS at ``threads`` threads while entered; None if nothing can."""
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
         controls = openblas_thread_controls()
         return None if controls is None else _openblas_limit(threads, *controls)
-    return threadpool_limits(limits=threads)
+    return _threadpoolctl_limit(threads, threadpool_limits)
 
 
 def blas_threads() -> int:
     """Threads numpy's OpenBLAS is set to use now; 1 where that cannot be read."""
     controls = openblas_thread_controls()
     return 1 if controls is None else max(1, controls[0]())
+
+
+def fan_out(work, tasks, states) -> None:
+    """Run ``work(state, task)`` for every task, on one thread per state, at most one per task.
+
+    Threads take the next task from one shared queue as they finish one, so
+    no task may be None.  A single state runs the tasks in order on the
+    calling thread, with no pool.  An exception from ``work`` propagates.
+    """
+    states = states[: len(tasks)]
+    if len(states) <= 1:
+        for task in tasks:
+            work(states[0], task)
+        return
+    todo = queue.SimpleQueue()
+    for task in [*tasks, *[None] * len(states)]:
+        todo.put(task)
+
+    def drain(state):
+        for task in iter(todo.get, None):
+            work(state, task)
+
+    with ThreadPoolExecutor(len(states)) as pool:
+        list(pool.map(drain, states))

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from spheresym import cli, core, oracle, threads
+from spheresym import cli, core, threads
 from spheresym.cli import main
 
 
@@ -233,31 +233,24 @@ def test_threads_without_any_thread_control_exits_2(tmp_path, monkeypatch, capsy
     assert len(err.splitlines()) == 1
 
 
-def test_threads_1_builds_the_gram_matrix_on_one_thread(tmp_path, monkeypatch):
+def _no_pool(*args):
+    raise AssertionError("a thread pool started")
+
+
+@pytest.mark.parametrize("command", ["test", "zeta-gaussian"])
+def test_threads_1_runs_without_a_thread_pool(command, tmp_path, monkeypatch, capsys):
     if threads.thread_limit(1) is None:
         pytest.skip("no control of numpy's BLAS threads here")
-
-    def no_pool(*args):
-        raise AssertionError("the Gram build started a thread pool")
-
-    monkeypatch.setattr(core, "ThreadPoolExecutor", no_pool)
-    path = _write_data(tmp_path, n=core.TILE + 1, seed=8)  # two tiles, three tile pairs
-    assert main(["--threads", "1", "test", "--input", str(path), "--B", "20"]) == 0
-
-
-def test_threads_1_runs_the_haar_oracle_on_one_thread(tmp_path, monkeypatch, capsys):
-    if threads.thread_limit(1) is None:
-        pytest.skip("no control of numpy's BLAS threads here")
-    path = tmp_path / "sigma.csv"
-    np.savetxt(path, np.diag([4.0, 1.0]), delimiter=",")
-    argv = ["zeta-gaussian", "--sigma", str(path), "--d", "2", "--haar-m", "5000"]
+    if command == "test":
+        path = _write_data(tmp_path, n=core.TILE + 1, seed=8)  # two tiles, three tile pairs
+        argv = ["test", "--input", str(path), "--B", "20"]
+    else:
+        path = tmp_path / "sigma.csv"
+        np.savetxt(path, np.diag([4.0, 1.0]), delimiter=",")
+        argv = ["zeta-gaussian", "--sigma", str(path), "--d", "2", "--haar-m", "5000"]
     assert main(argv) == 0
     want = capsys.readouterr().out
-
-    def no_pool(*args):
-        raise AssertionError("the Haar oracle started a thread pool")
-
-    monkeypatch.setattr(oracle, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(threads, "ThreadPoolExecutor", _no_pool)
     assert main(["--threads", "1"] + argv) == 0
     assert capsys.readouterr().out == want
 

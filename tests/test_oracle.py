@@ -11,13 +11,16 @@ from spheresym import (
     gaussian_pair_term,
     gaussian_zeta,
     mc_zeta,
-    sample_haar_orthogonal,
     zeta_hat,
 )
 from spheresym import oracle, threads
 from spheresym.distributions import Contaminated, Gaussian
-from spheresym.oracle import _chunked_mean_var, _conjugate, _haar_batch, is_scalar_identity
+from spheresym.oracle import _chunked_mean_var, _conjugate, _haar_from_normals, is_scalar_identity
 from oracles import einsum_conjugate, quadrature_gaussian_zeta_2d, serial_gaussian_zeta
+
+
+def _haar(d, m, rng):
+    return _haar_from_normals(rng.generator().standard_normal((m, d, d)))
 
 
 def test_covspec_validation():
@@ -57,7 +60,7 @@ def test_pair_term_symmetric_and_conjugation_invariant():
     s1 = CovSpec(a @ a.T)
     s2 = CovSpec(b @ b.T)
     assert gaussian_pair_term(s1, s2, 3) == pytest.approx(gaussian_pair_term(s2, s1, 3), rel=1e-13)
-    h = sample_haar_orthogonal(3, RngStream(1))
+    h = _haar(3, 1, RngStream(1))[0]
     c1 = CovSpec(h @ s1.sigma @ h.T)
     c2 = CovSpec(h @ s2.sigma @ h.T)
     assert gaussian_pair_term(c1, c2, 3) == pytest.approx(gaussian_pair_term(s1, s2, 3), rel=1e-12)
@@ -65,17 +68,17 @@ def test_pair_term_symmetric_and_conjugation_invariant():
 
 def test_haar_orthogonality():
     for d in (1, 2, 5, 10):
-        h = sample_haar_orthogonal(d, RngStream(2, (d,)))
+        h = _haar(d, 1, RngStream(2, (d,)))[0]
         assert np.linalg.norm(h @ h.T - np.eye(d)) < 1e-10
 
 
 def test_haar_d1_sign_flip():
-    draws = [sample_haar_orthogonal(1, RngStream(3, (i,)))[0, 0] for i in range(100)]
+    draws = _haar(1, 100, RngStream(3))[:, 0, 0]
     assert set(np.unique(draws)) == {-1.0, 1.0}
 
 
 def test_haar_first_moment_zero():
-    h = _haar_batch(3, 100_000, RngStream(4).generator())
+    h = _haar(3, 100_000, RngStream(4))
     # entries of a Haar matrix have variance 1/d
     se = np.sqrt(1.0 / 3.0 / len(h))
     assert abs(h[:, 0, 0].mean()) < 4 * se
@@ -103,7 +106,7 @@ def test_gaussian_zeta_rotation_invariant():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((3, 3))
     sigma = a @ a.T
-    h = sample_haar_orthogonal(3, RngStream(6))
+    h = _haar(3, 1, RngStream(6))[0]
     cfg = HaarConfig(m=40_000, seed=8)
     e1, s1 = gaussian_zeta(CovSpec(sigma), 3, cfg)
     e2, s2 = gaussian_zeta(CovSpec(h @ sigma @ h.T), 3, cfg)
@@ -187,7 +190,7 @@ def _random_cov(d, seed):
 
 def test_conjugate_matches_einsum():
     for d in (1, 2, 5, 10):
-        h = _haar_batch(d, 500, RngStream(20, (d,)).generator())
+        h = _haar(d, 500, RngStream(20, (d,)))
         sigma = _random_cov(d, d).sigma
         want = einsum_conjugate(h, sigma)
         assert np.abs(_conjugate(h, sigma) - want).max() <= 1e-14 * np.abs(want).max()
