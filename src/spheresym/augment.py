@@ -75,9 +75,9 @@ def spatial_median(sample: Sample, tol: float = 1e-8, max_iter: int = 10_000) ->
     theta = x.mean(axis=0)
     anchor_eps = 1e-12 * max(1.0, float(np.abs(x).max()))
     objective = []
+    diff = x - theta
+    dist = np.linalg.norm(diff, axis=1)
     for it in range(1, max_iter + 1):
-        diff = x - theta
-        dist = np.linalg.norm(diff, axis=1)
         at_anchor = dist < anchor_eps
         eta = int(at_anchor.sum())
         away = ~at_anchor
@@ -103,9 +103,11 @@ def spatial_median(sample: Sample, tol: float = 1e-8, max_iter: int = 10_000) ->
             new_theta = (1.0 - lam) * t_map + lam * theta
 
         theta = new_theta
-        dist_new = np.linalg.norm(x - theta, axis=1)
-        objective.append(float(dist_new.sum()))
-        grad = -(x - theta) / np.maximum(dist_new, anchor_eps)[:, None]
+        # the next step's differences and distances, also used for the stopping test
+        diff = x - theta
+        dist = np.linalg.norm(diff, axis=1)
+        objective.append(float(dist.sum()))
+        grad = -diff / np.maximum(dist, anchor_eps)[:, None]
         if np.linalg.norm(grad.sum(axis=0)) <= tol:
             return SpatialMedianResult(theta, True, it, tuple(objective))
 

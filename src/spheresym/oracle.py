@@ -6,12 +6,14 @@ Haar measure, which are estimated here by Monte Carlo.  For a covariance that
 is a scalar multiple of the identity, every rotation fixes the law and the
 measure is exactly zero; that case short-circuits.
 
-The Haar draws are made in chunks on the calling thread, in a fixed order, so
-the seed fixes every draw.  The work on each chunk (QR, sign fix, conjugation,
-log-determinants) acts matrix by matrix, and runs in blocks of consecutive
-rows through ``threads.fan_out``, as the Gram build's tiles do, on as many
-threads as numpy's BLAS is set to use, so ``--threads`` caps it too; the
-estimate and its standard error are bit-identical for any thread count.
+The Haar draws run in blocks of consecutive rows through ``threads.fan_out``,
+as the Gram build's tiles do, on as many threads as numpy's BLAS is set to
+use, so ``--threads`` caps them too.  Each task draws the normals of the next
+block under one lock, so block after block takes the stream in order and the
+seed fixes every draw; outside the lock it runs the block's QR, sign fix,
+conjugation and log-determinants, which act matrix by matrix, while another
+thread draws.  The estimate and its standard error are bit-identical for any
+thread count.
 
 A generic large-sample Monte Carlo estimate (``mc_zeta``) is also provided,
 exploiting unbiasedness of the pairwise statistic.
@@ -20,17 +22,18 @@ exploiting unbiasedness of the pairwise statistic.
 from __future__ import annotations
 
 import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .augment import augment
-from .core import build_gram, zeta_hat
+from .core import build_gram, swap_statistic
 from .rng import RngStream
 from .threads import blas_threads, fan_out
 
 _HAAR_CHUNK = 20_000
-# Rows per thread task; keeps QR's temporaries to a few MB at d = 10.
+# Rows drawn and reduced per thread task; keeps QR's temporaries to a few MB at d = 10.
 _HAAR_BLOCK = 2_000
 
 
@@ -155,32 +158,37 @@ def gaussian_zeta(sigma: CovSpec, d: int, haar: HaarConfig = HaarConfig()) -> tu
     gen = RngStream(haar.seed, (0,)).generator()
     s = sigma.sigma
     workers = range(blas_threads())  # fan_out's states; the blocks need none
+    lock = threading.Lock()
 
-    def split(fn, *arrays):
-        # fn on consecutive blocks of the arrays' rows, spread over the threads
-        blocks = [[a[lo:lo + _HAAR_BLOCK] for a in arrays]
-                  for lo in range(0, len(arrays[0]), _HAAR_BLOCK)]
-        fan_out(lambda _, block: fn(*block), blocks, workers)
+    def conjugated_blocks(k, then):
+        # then(rows, H Sigma H^T) for k fresh draws, one block of rows per task.
+        # A task's rows are picked under the lock, not from fan_out's task:
+        # the next rows take the next normals, so the seed fixes every H
+        # whichever thread draws them.
+        starts = range(0, k, _HAAR_BLOCK)
+        untaken = iter(starts)
 
-    def conjugated(k):
-        # Drawn here, in order, so that the seed fixes every H; each block
-        # of normals is then overwritten with its H Sigma H^T.
-        a = gen.standard_normal((k, d, d))
-        split(lambda part: _conjugate(_haar_from_normals(part), s, out=part), a)
-        return a
+        def task(_, __):
+            with lock:
+                lo = next(untaken)
+                a = gen.standard_normal((min(_HAAR_BLOCK, k - lo), d, d))
+            then(slice(lo, lo + len(a)), _conjugate(_haar_from_normals(a), s, out=a))
 
-    def pair_values(s1, s2):
-        out = np.empty(len(s2))
-        split(lambda o, p1, p2: _pair_values(o, p1, p2, d), out, s1, s2)
-        return out
+        fan_out(task, starts, workers)
 
     def double(k):
-        # independent (H1, H2) pairs
-        s1 = conjugated(k)
-        return pair_values(s1, conjugated(k))
+        # independent (H1, H2) pairs: every H1 Sigma H1^T first, then each
+        # H2 block is reduced straight into its values
+        s1 = np.empty((k, d, d))
+        conjugated_blocks(k, s1.__setitem__)
+        out = np.empty(k)
+        conjugated_blocks(k, lambda rows, s2: _pair_values(out[rows], s1[rows], s2, d))
+        return out
 
     def single(k):
-        return pair_values(np.broadcast_to(s, (k, d, d)), conjugated(k))
+        out = np.empty(k)
+        conjugated_blocks(k, lambda rows, s2: _pair_values(out[rows], s, s2, d))
+        return out
 
     mean_d, var_d = _chunked_mean_var(double, haar.m)
     # single integral: fresh draws, after and independent of the double-integral draws
@@ -210,5 +218,5 @@ def mc_zeta(spec, n_big: int = 200, reps: int = 200, rng: RngStream = RngStream(
         s = sample_dist(spec, n_big, rng.child(r, 0))
         aug = augment(s, rng.child(r, 1))
         cache = build_gram(aug)
-        values[r] = zeta_hat(aug, cache).value
+        values[r] = swap_statistic(cache, np.ones(n_big))
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(reps))

@@ -22,9 +22,7 @@ def test_sphere_d1_is_sign_flip():
 
 
 def test_sphere_d3_marginals():
-    gen = RngStream(17).generator()
-    z = gen.standard_normal((100_000, 3))
-    u = z / np.linalg.norm(z, axis=1)[:, None]
+    u = _unit_rows(100_000, 3, RngStream(17).generator())
     # coordinate means are zero; each coordinate has variance 1/3
     se = np.sqrt(1.0 / 3.0 / len(u))
     assert np.all(np.abs(u.mean(axis=0)) < 4 * se)

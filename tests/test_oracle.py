@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,25 @@ def test_gaussian_zeta_same_bits_on_one_and_two_threads():
         with threads.thread_limit(k):
             assert threads.blas_threads() == k
             results.append(gaussian_zeta(cov, 5, HaarConfig(m=20_001, seed=24)))
+    assert results[0] == results[1]
+
+
+# Blocks of 7 rows on 4 threads, switching every microsecond: thousands of
+# tasks racing for the draws.  Needs no control of BLAS's thread count.
+@pytest.mark.parametrize("m", [1, 3, 20_001])
+@pytest.mark.parametrize("d", [2, 5])
+def test_gaussian_zeta_same_bits_on_one_and_four_workers(monkeypatch, d, m):
+    monkeypatch.setattr(oracle, "_HAAR_BLOCK", 7)
+    cov = _random_cov(d, 25 + d)
+    results = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (1, 4):
+            monkeypatch.setattr(oracle, "blas_threads", lambda: workers)
+            results.append(gaussian_zeta(cov, d, HaarConfig(m=m, seed=26)))
+    finally:
+        sys.setswitchinterval(interval)
     assert results[0] == results[1]
 
 
