@@ -63,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zeta-gaussian", help="measure value for a centered Gaussian")
     p.add_argument("--sigma", required=True, help="CSV covariance matrix or 'identity'")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--haar-m", type=int, default=100_000)
+    p.add_argument("--haar-m", type=int, default=100_000,
+                   help="number of Haar draws for the Monte Carlo integral (default 100000)")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("simulate", help="run a configured power/level study")

@@ -1,10 +1,14 @@
 """Ground-truth values of the asymmetry measure, used as test oracles.
 
-For a centered Gaussian with covariance Sigma the measure has a closed form:
-one exact determinant term plus two integrals over the orthogonal group under
-Haar measure, which are estimated here by Monte Carlo.  For a covariance that
-is a scalar multiple of the identity, every rotation fixes the law and the
-measure is exactly zero; that case short-circuits.
+For a centered Gaussian with covariance Sigma the measure is
+E K(X, X~) - E K(X, X~'), with X' = H X for a Haar H: one exact determinant
+term, det(2 Sigma / d + I)^(-1/2), less one integral over the orthogonal group
+under Haar measure, E det((Sigma + H Sigma H^T)/d + I)^(-1/2), estimated here
+by Monte Carlo.  The paper's third term E K(X', X~') equals E K(X, X~'): the
+kernel is rotation invariant and X~' is spherically symmetric, so
+K(H1 X, X~') = K(X, H1^T X~') and H1^T X~' has the law of X~'.  For a
+covariance that is a scalar multiple of the identity, every rotation fixes the
+law and the measure is exactly zero; that case short-circuits.
 
 The Haar draws run in blocks of consecutive rows through ``threads.fan_out``,
 as the Gram build's tiles do, on as many threads as numpy's BLAS is set to
@@ -62,7 +66,7 @@ class CovSpec:
 
 @dataclass(frozen=True)
 class HaarConfig:
-    """Monte Carlo budget for the orthogonal-group integrals."""
+    """Monte Carlo budget for the orthogonal-group integral: m Haar draws from ``seed``."""
 
     m: int = 100_000
     seed: int = 0
@@ -108,9 +112,9 @@ def _conjugate(h: np.ndarray, sigma: np.ndarray, out: np.ndarray | None = None) 
     return np.matmul(h @ sigma, h.transpose(0, 2, 1), out=out)
 
 
-def _pair_values(out: np.ndarray, s1: np.ndarray, s2: np.ndarray, d: int) -> None:
-    """det((S1 + S2)/d + I)^(-1/2) for each pair into ``out``; the sums overwrite ``s2``."""
-    m = np.add(s1, s2, out=s2)
+def _pair_values(out: np.ndarray, sigma: np.ndarray, s2: np.ndarray, d: int) -> None:
+    """det((Sigma + S2)/d + I)^(-1/2) for each S2 in the batch into ``out``; overwrites ``s2``."""
+    m = np.add(sigma, s2, out=s2)
     m /= d
     m += np.eye(d)
     _, logdet = np.linalg.slogdet(m)
@@ -145,8 +149,10 @@ def _chunked_mean_var(values, m: int) -> tuple[float, float]:
 def gaussian_zeta(sigma: CovSpec, d: int, haar: HaarConfig = HaarConfig()) -> tuple[float, float]:
     """Closed-form-plus-Haar-MC value of the measure for N(0, Sigma).
 
-    Returns (estimate, std_error).  Exact (0, 0) when Sigma is a scalar
-    multiple of the identity.  Bit-identical for any number of BLAS threads.
+    Returns (estimate, std_error): the determinant term less the mean of
+    det((Sigma + H Sigma H^T)/d + I)^(-1/2) over ``haar.m`` Haar draws, and
+    that mean's standard error.  Exact (0, 0) when Sigma is a scalar multiple
+    of the identity.  Bit-identical for any number of BLAS threads.
     """
     if sigma.d != d:
         raise ValueError("covariance dimension does not match d")
@@ -160,11 +166,12 @@ def gaussian_zeta(sigma: CovSpec, d: int, haar: HaarConfig = HaarConfig()) -> tu
     workers = range(blas_threads())  # fan_out's states; the blocks need none
     lock = threading.Lock()
 
-    def conjugated_blocks(k, then):
-        # then(rows, H Sigma H^T) for k fresh draws, one block of rows per task.
-        # A task's rows are picked under the lock, not from fan_out's task:
-        # the next rows take the next normals, so the seed fixes every H
-        # whichever thread draws them.
+    def values(k):
+        # The values of k fresh draws, one block of rows per task.  A task's
+        # rows are picked under the lock, not from fan_out's task: the next
+        # rows take the next normals, so the seed fixes every H whichever
+        # thread draws them.
+        out = np.empty(k)
         starts = range(0, k, _HAAR_BLOCK)
         untaken = iter(starts)
 
@@ -172,31 +179,14 @@ def gaussian_zeta(sigma: CovSpec, d: int, haar: HaarConfig = HaarConfig()) -> tu
             with lock:
                 lo = next(untaken)
                 a = gen.standard_normal((min(_HAAR_BLOCK, k - lo), d, d))
-            then(slice(lo, lo + len(a)), _conjugate(_haar_from_normals(a), s, out=a))
+            conj = _conjugate(_haar_from_normals(a), s, out=a)
+            _pair_values(out[lo:lo + len(a)], s, conj, d)
 
         fan_out(task, starts, workers)
-
-    def double(k):
-        # independent (H1, H2) pairs: every H1 Sigma H1^T first, then each
-        # H2 block is reduced straight into its values
-        s1 = np.empty((k, d, d))
-        conjugated_blocks(k, s1.__setitem__)
-        out = np.empty(k)
-        conjugated_blocks(k, lambda rows, s2: _pair_values(out[rows], s1[rows], s2, d))
         return out
 
-    def single(k):
-        out = np.empty(k)
-        conjugated_blocks(k, lambda rows, s2: _pair_values(out[rows], s, s2, d))
-        return out
-
-    mean_d, var_d = _chunked_mean_var(double, haar.m)
-    # single integral: fresh draws, after and independent of the double-integral draws
-    mean_s, var_s = _chunked_mean_var(single, haar.m)
-
-    estimate = term1 + mean_d - 2.0 * mean_s
-    std_error = float(np.sqrt(var_d / haar.m + 4.0 * var_s / haar.m))
-    return float(estimate), std_error
+    mean, var = _chunked_mean_var(values, haar.m)
+    return float(term1 - mean), float(np.sqrt(var / haar.m))
 
 
 def mc_zeta(spec, n_big: int = 200, reps: int = 200, rng: RngStream = RngStream(0)) -> tuple[float, float]:

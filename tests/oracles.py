@@ -153,40 +153,58 @@ def _simpson_weights(k):
     return w / 3.0
 
 
-def quadrature_gaussian_zeta_2d(sigma: np.ndarray, k: int = 120) -> float:
-    """Measure value for N(0, Sigma) in d = 2 via Simpson quadrature."""
-    sigma = np.asarray(sigma, dtype=float)
-    term1 = _pair_value(sigma, sigma)
-
+def _quadrature_nodes(sigma, k):
+    # normalized Simpson weights on [0, pi] and the conjugates at their angles
     h = math.pi / k
     ts = np.arange(k + 1) * h
-    w = _simpson_weights(k) * h / math.pi  # normalized weights on [0, pi]
-
+    w = _simpson_weights(k) * h / math.pi
     conj = {
         flag: [_conj(sigma, t, flag) for t in ts] for flag in (False, True)
     }
+    return w, conj
 
+
+def quadrature_single_2d(sigma: np.ndarray, k: int = 120) -> float:
+    """E det((Sigma + H Sigma H^T)/2 + I)^(-1/2) over Haar H in d = 2, by quadrature."""
+    sigma = np.asarray(sigma, dtype=float)
+    w, conj = _quadrature_nodes(sigma, k)
     single = 0.0
     for flag in (False, True):
         for wi, s in zip(w, conj[flag]):
             single += 0.5 * wi * _pair_value(sigma, s)
+    return single
 
+
+def quadrature_double_2d(sigma: np.ndarray, k: int = 120) -> float:
+    """E det((H1 Sigma H1^T + H2 Sigma H2^T)/2 + I)^(-1/2) over independent Haar H1, H2."""
+    sigma = np.asarray(sigma, dtype=float)
+    w, conj = _quadrature_nodes(sigma, k)
     double = 0.0
     for f1 in (False, True):
         for f2 in (False, True):
             for w1, s1 in zip(w, conj[f1]):
                 for w2, s2 in zip(w, conj[f2]):
                     double += 0.25 * w1 * w2 * _pair_value(s1, s2)
+    return double
 
+
+def quadrature_gaussian_zeta_2d(sigma: np.ndarray, k: int = 120) -> float:
+    """Measure value for N(0, Sigma) in d = 2 via Simpson quadrature."""
+    sigma = np.asarray(sigma, dtype=float)
+    term1 = _pair_value(sigma, sigma)
+    single = quadrature_single_2d(sigma, k)
+    double = quadrature_double_2d(sigma, k)
     return term1 + double - 2.0 * single
 
 
 # -- Gaussian oracle, serially ------------------------------------------------
 #
-# The same Haar draws as ``gaussian_zeta``, in the same order (per chunk of the
-# double integral H1 then H2, then the single integral's chunks), conjugated
-# with one einsum and reduced on one thread; the variance is numpy's two-pass
-# variance over all values at once.
+# ``serial_gaussian_zeta`` takes the same Haar draws as ``gaussian_zeta``, in
+# the same order (chunk after chunk of the one integral), conjugated with one
+# einsum and reduced on one thread; the variance is numpy's two-pass variance
+# over all values at once.  ``three_term_gaussian_zeta`` estimates the
+# measure's three-term form, as ``quadrature_gaussian_zeta_2d`` computes it,
+# with a double integral over independent Haar pairs.
 
 
 def _serial_haar(d, k, gen):
@@ -205,13 +223,35 @@ def _serial_pair_values(s1, s2, d):
     return np.exp(-0.5 * logdet)
 
 
+def _chunk_sizes(m):
+    return [min(_HAAR_CHUNK, m - start) for start in range(0, m, _HAAR_CHUNK)]
+
+
 def serial_gaussian_zeta(cov, d, haar) -> tuple[float, float]:
     """(estimate, std_error) of ``gaussian_zeta(cov, d, haar)``, computed serially."""
     if is_scalar_identity(cov):
         return 0.0, 0.0
     gen = RngStream(haar.seed, (0,)).generator()
     s = cov.sigma
-    sizes = [min(_HAAR_CHUNK, haar.m - start) for start in range(0, haar.m, _HAAR_CHUNK)]
+    single = np.concatenate([
+        _serial_pair_values(np.broadcast_to(s, (k, d, d)), einsum_conjugate(_serial_haar(d, k, gen), s), d)
+        for k in _chunk_sizes(haar.m)
+    ])
+    estimate = gaussian_pair_term(cov, cov, d) - single.mean()
+    return float(estimate), math.sqrt(single.var() / haar.m)
+
+
+def three_term_gaussian_zeta(cov, d, haar) -> tuple[float, float]:
+    """(estimate, std_error) of det(2 Sigma/d + I)^(-1/2) + E_double - 2 E_single.
+
+    E_double averages over m independent pairs (H1, H2), E_single over m
+    further draws H, all from ``RngStream(haar.seed, (0,))``.
+    """
+    if is_scalar_identity(cov):
+        return 0.0, 0.0
+    gen = RngStream(haar.seed, (0,)).generator()
+    s = cov.sigma
+    sizes = _chunk_sizes(haar.m)
     double = []
     for k in sizes:
         h1 = _serial_haar(d, k, gen)

@@ -18,7 +18,14 @@ from spheresym import (
 from spheresym import oracle, threads
 from spheresym.distributions import Contaminated, Gaussian
 from spheresym.oracle import _chunked_mean_var, _conjugate, _haar_from_normals, is_scalar_identity
-from oracles import einsum_conjugate, quadrature_gaussian_zeta_2d, serial_gaussian_zeta
+from oracles import (
+    einsum_conjugate,
+    quadrature_double_2d,
+    quadrature_gaussian_zeta_2d,
+    quadrature_single_2d,
+    serial_gaussian_zeta,
+    three_term_gaussian_zeta,
+)
 
 
 def _haar(d, m, rng):
@@ -102,6 +109,21 @@ def test_gaussian_zeta_matches_2d_quadrature():
     est, se = gaussian_zeta(CovSpec(sigma), 2, HaarConfig(m=40_000, seed=7))
     want = quadrature_gaussian_zeta_2d(sigma, k=120)
     assert abs(est - want) < 3 * se
+
+
+@pytest.mark.parametrize("sigma", [[[4.0, 0.0], [0.0, 1.0]], [[2.0, 0.7], [0.7, 0.5]]])
+def test_quadrature_double_integral_equals_single_integral(sigma):
+    # Conjugating by H1 turns the double integral into the single one, since
+    # H1^T H2 is Haar; gaussian_zeta estimates only the single one.
+    single = quadrature_single_2d(np.array(sigma), k=120)
+    assert quadrature_double_2d(np.array(sigma), k=120) == pytest.approx(single, rel=1e-12, abs=0)
+
+
+def test_gaussian_zeta_matches_three_term_form():
+    cov = _random_cov(5, 28)
+    est, se = gaussian_zeta(cov, 5, HaarConfig(m=20_000, seed=29))
+    want, wse = three_term_gaussian_zeta(cov, 5, HaarConfig(m=20_000, seed=30))
+    assert abs(est - want) < 3 * np.hypot(se, wse)
 
 
 def test_gaussian_zeta_rotation_invariant():
@@ -240,13 +262,14 @@ def test_gaussian_zeta_same_bits_on_one_and_four_workers(monkeypatch, d, m):
 
 
 def test_gaussian_zeta_std_error_near_isotropy():
-    # A one-pass E[x^2] - mean^2 cancels to exactly 0 here; the standard error is ~3e-14.
+    # A one-pass E[x^2] - mean^2 cancels to exactly 0 here; the standard error is ~1.2e-14,
+    # below pytest's default absolute tolerance of 1e-12, hence abs=0.
     d = 10
     cov = CovSpec(np.diag([1.0 + 1e-4] + [1.0] * (d - 1)))
     _, se = gaussian_zeta(cov, d, HaarConfig(m=20_000, seed=0))
     _, want = serial_gaussian_zeta(cov, d, HaarConfig(m=20_000, seed=0))
     assert se > 0.0
-    assert se == pytest.approx(want, rel=1e-6)
+    assert se == pytest.approx(want, rel=1e-6, abs=0)
 
 
 def test_chunked_mean_var_merges_chunks_without_cancellation():

@@ -1,21 +1,40 @@
-"""The benchmark's workload module must import against the current package.
+"""The benchmark's workload module must import and pass its gates against the current package.
 
 ``perfbench/workloads.py`` imports public spheresym names; loading it here
 turns a removed or renamed name into a test failure instead of a failed
-benchmark run.  The file is loaded by path and not modified.
+benchmark run.  The oracle workload's reference gate runs here too, so an
+oracle whose estimates drift from ``perfbench/reference.json`` fails the
+tests, not the benchmark.  The files are loaded by path and not modified.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
-WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOADS_PATH = PERFBENCH / "workloads.py"
 
 
-def test_perfbench_workloads_import(monkeypatch):
+def _load_workloads(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their module up in sys.modules while the class is made
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_workloads_import(monkeypatch):
+    module = _load_workloads(monkeypatch)
     assert set(module.WORKLOADS) == {"study", "cli_large", "exact", "oracle"}
+
+
+def test_oracle_workload_passes_its_reference_gate(monkeypatch, tmp_path):
+    module = _load_workloads(monkeypatch)
+    refs = json.loads((PERFBENCH / "reference.json").read_text())["oracle"]
+    wl = module.Oracle(module.DEFAULT_SEED, str(tmp_path))
+    ops = [op for op in wl.round_ops(0) if op.kind.startswith("gaussian_zeta")]
+    assert len(ops) == len(module.Oracle.DIMS)
+    for op in ops:
+        wl.check(op, wl.result(op, wl.invoke(op)), refs[op.key])
