@@ -7,14 +7,15 @@ signed quadratic form
 
     zeta_hat(s) = s^T G s / (n (n-1)),
 
-where G is the cached n x n matrix of pairwise g values; s and its complement
--s give the same value.  The observed value and every Monte Carlo resample go
-through ``core.swap_statistic``; the exact enumeration assembles the same
-quadratic forms from two half-tables of sign vectors (``exact_pvalue``).
-Either way a resample reuses cached entries with zero kernel re-evaluation.
-In exact arithmetic the all-ones vector and the full swap tie with the
-observed statistic; differently ordered sums of the same value may still
-differ in the last bits, which the tie guard absorbs.
+where G is the n x n matrix of pairwise g values; s and its complement -s
+give the same value.  The observed value and all B Monte Carlo resamples
+come from one pass over G's tiles (``core.swap_values``), which builds each
+upper tile once and holds no n x n array; the exact enumeration (n <= 26)
+builds G as one tile and assembles the same quadratic forms from two
+half-tables of sign vectors (``exact_pvalue``).  In exact arithmetic the
+all-ones vector and the full swap tie with the observed statistic;
+differently ordered sums of the same value may still differ in the last
+bits, which the tie guard absorbs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .augment import augment, center
-from .core import GramCache, Sample, build_gram, swap_statistic
+from .core import GramCache, Sample, build_gram, one_tile, resample_plan, swap_values
 from .rng import RngStream
 
 DEFAULT_B = 500
@@ -120,8 +121,7 @@ def exact_pvalue(cache: GramCache, alpha: float = DEFAULT_ALPHA) -> TestOutcome:
         raise ValueError(
             f"exact enumeration needs n <= {ENUM_LIMIT} (2^n resamples); got n = {n}"
         )
-    obs = swap_statistic(cache, np.ones(n))
-    g = cache.g
+    g, obs = one_tile(cache)
     a = (n + 1) // 2  # A = pairs 0..a-1, B = pairs a..n-1; pair a-1 is kept
     half = 1 << (a - 1)  # the rows of A's sign table that keep pair a-1
     # G s for every half sign vector s, then s^T (G s)
@@ -174,9 +174,10 @@ def mc_pvalue(cache: GramCache, B: int, rng: RngStream, alpha: float = DEFAULT_A
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
     n = cache.n
-    obs = swap_statistic(cache, np.ones(n))
-    values = swap_statistic(cache, _draw_signs(n, B, rng))
-    p = (_count_ties_or_exceed(values, obs) + 1) / (B + 1)
+    resample_plan(n, B)  # refuse a size that would not fit before drawing
+    values = swap_values(cache, _draw_signs(n, B, rng))
+    obs = float(values[0])
+    p = (_count_ties_or_exceed(values[1:], obs) + 1) / (B + 1)
     return TestOutcome(
         statistic=obs,
         p_value=p,
@@ -201,7 +202,8 @@ def critical_value(cache: GramCache, alpha: float, B: int, rng: RngStream) -> fl
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
-    values = np.sort(swap_statistic(cache, _draw_signs(cache.n, B, rng)))
+    resample_plan(cache.n, B)  # refuse a size that would not fit before drawing
+    values = np.sort(swap_values(cache, _draw_signs(cache.n, B, rng))[1:])
     # smallest t with empirical cdf >= 1 - alpha
     rank = int(np.ceil(B * (1.0 - alpha)))
     rank = max(rank, 1)

@@ -46,8 +46,8 @@ def _add_common_test_flags(p: argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spheresym", description=__doc__)
     parser.add_argument("--threads", type=int, default=None,
-                        help="number of threads numpy's BLAS, the Gram matrix build and the "
-                             "Gaussian Haar oracle use during the command (needs threadpoolctl "
+                        help="number of threads numpy's BLAS, the resampling pass over the Gram "
+                             "tiles and the Gaussian Haar oracle use during the command (needs threadpoolctl "
                              "or numpy's bundled OpenBLAS)")
     sub = parser.add_subparsers(dest="command", required=True)
 

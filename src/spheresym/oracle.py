@@ -11,7 +11,7 @@ covariance that is a scalar multiple of the identity, every rotation fixes the
 law and the measure is exactly zero; that case short-circuits.
 
 The Haar draws run in blocks of consecutive rows through ``threads.fan_out``,
-as the Gram build's tiles do, on as many threads as numpy's BLAS is set to
+as the resampling pass's tile pairs do, on as many threads as numpy's BLAS is set to
 use, so ``--threads`` caps them too.  Each task draws the normals of the next
 block under one lock, so block after block takes the stream in order and the
 seed fixes every draw; outside the lock it runs the block's QR, sign fix,
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import augment
-from .core import build_gram, swap_statistic
+from .core import build_gram, swap_values
 from .rng import RngStream
 from .threads import blas_threads, fan_out
 
@@ -208,5 +208,5 @@ def mc_zeta(spec, n_big: int = 200, reps: int = 200, rng: RngStream = RngStream(
         s = sample_dist(spec, n_big, rng.child(r, 0))
         aug = augment(s, rng.child(r, 1))
         cache = build_gram(aug)
-        values[r] = swap_statistic(cache, np.ones(n_big))
+        values[r] = swap_values(cache)[0]
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(reps))

@@ -1,9 +1,10 @@
 """Thread counts of numpy's BLAS, and the one fan-out of work over threads.
 
-``--threads`` holds numpy's BLAS through :func:`thread_limit`, and the Gram
-build and the Gaussian Haar oracle read the same count through
-:func:`blas_threads` and run their work through :func:`fan_out`, so one
-setting (or ``OPENBLAS_NUM_THREADS``) caps all three.  :func:`fan_out` is the
+``--threads`` holds numpy's BLAS through :func:`thread_limit`, and the
+resampling pass over the Gram tiles and the Gaussian Haar oracle read the
+same count through :func:`blas_threads` and run their work through
+:func:`fan_out`, so one setting (or ``OPENBLAS_NUM_THREADS``) caps all
+three.  :func:`fan_out` is the
 only place in the package that starts threads.
 """
 

@@ -27,6 +27,7 @@ from spheresym import (
     zeta_hat,
 )
 from spheresym.calibrate import cutoff_bound
+from spheresym.core import gram_tile
 from spheresym.distributions import (
     Contaminated,
     FourComponentMixture,
@@ -256,6 +257,11 @@ def test_criterion_9_cutoff_bound():
 # -- 10. structural invariants ----------------------------------------------
 
 
+def whole_g(cache):
+    """G read as one block of the tile function."""
+    return gram_tile(cache, slice(0, cache.n), slice(0, cache.n))
+
+
 def test_criterion_10_structural_invariants():
     gen = np.random.default_rng(117)
     trials = 1000
@@ -271,8 +277,8 @@ def test_criterion_10_structural_invariants():
         # swapping pair t % n turns G into D G D, D = diag(signs)
         signs = np.ones(n)
         signs[t % n] = -1.0
-        swapped = build_gram(swap_pairs(aug, signs)).g
-        anti += np.abs(swapped - signs[:, None] * cache.g * signs).max() <= 1e-12
+        swapped = whole_g(build_gram(swap_pairs(aug, signs)))
+        anti += np.abs(swapped - signs[:, None] * whole_g(cache) * signs).max() <= 1e-12
 
         full_swap += abs(swap_statistic(cache, -np.ones(n)) - stat) <= 1e-12
 

@@ -17,7 +17,7 @@ from spheresym import (
     swap_statistic,
     zeta_hat,
 )
-from spheresym import calibrate
+from spheresym import calibrate, core
 from spheresym.calibrate import ENUM_LIMIT, cutoff_bound
 from oracles import direct_exact_pvalue, naive_exact_pvalue, naive_resampled_zeta
 
@@ -81,12 +81,16 @@ def test_resample_length_mismatch():
         swap_statistic(cache, np.ones(5))
 
 
-def test_swap_statistic_refuses_values_outside_the_range():
-    # entries of a real G lie in [-2, 2]; a corrupt cache must fail loudly,
+def test_swap_statistic_refuses_values_outside_the_range(monkeypatch):
+    # entries of a real G lie in [-2, 2]; a corrupt tile must fail loudly,
     # for the observed value and for every resample, in run_test's p-values too
-    g = np.full((4, 4), 3.0)
-    np.fill_diagonal(g, 0.0)
-    cache = GramCache(g=g, n=4, d=1)
+    def corrupt_tile(cache, rows, cols, out=None, scratch=None):
+        g = np.full((cache.n, cache.n), 3.0)
+        np.fill_diagonal(g, 0.0)
+        return g[rows, cols]
+
+    cache = GramCache(original=np.ones((4, 1)), variant=-np.ones((4, 1)))
+    monkeypatch.setattr(core, "gram_tile", corrupt_tile)
     with pytest.raises(ValueError, match=r"out of range \[-2, 2\]: 3"):
         swap_statistic(cache, np.ones(4))
     with pytest.raises(ValueError, match="out of range"):
@@ -95,6 +99,11 @@ def test_swap_statistic_refuses_values_outside_the_range():
         mc_pvalue(cache, 10, RngStream(0))
     with pytest.raises(ValueError, match="out of range"):
         exact_pvalue(cache)
+    # rows that are not finite give NaN values, refused the same way
+    monkeypatch.undo()
+    cache = GramCache(original=np.array([[1.0], [np.nan], [0.5]]), variant=np.ones((3, 1)))
+    with pytest.raises(ValueError, match=r"out of range \[-2, 2\]: nan"):
+        mc_pvalue(cache, 10, RngStream(0))
 
 
 def test_exact_pvalue_floor_from_swap_symmetry():
@@ -285,4 +294,5 @@ def test_observed_statistic_ties_with_identity_mask():
         zeros = swap_statistic(cache, -np.ones((1, 9)))[0]
         assert obs == ones == zeros
         assert obs == zeta_hat(aug, cache).value
-        assert obs == pytest.approx(float(cache.g.sum()) / (9 * 8), abs=1e-14)
+        g = core.gram_tile(cache, slice(0, 9), slice(0, 9))
+        assert obs == pytest.approx(float(g.sum()) / (9 * 8), abs=1e-14)

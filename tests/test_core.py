@@ -1,4 +1,6 @@
+import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from spheresym import (
     build_gram,
     zeta_hat,
 )
-from spheresym import core, threads
+from spheresym import calibrate, core, threads
 from oracles import dense_kernel_matrix, g_from_kernel_matrix, naive_g, naive_kernel, naive_zeta, swap_pairs
 
 # hand value for the pairs ((1,0),(0,1)) and ((-1,0),(0,-1)) in d=2
@@ -26,9 +28,20 @@ def _pairs_n2():
     return original, variant
 
 
+def _tiled_g(cache) -> np.ndarray:
+    """G assembled block by block, each block (I, J), lower ones too, from ``core.gram_tile``."""
+    g = np.empty((cache.n, cache.n))
+    starts = range(0, cache.n, core.TILE)
+    for r in starts:
+        for c in starts:
+            rows, cols = slice(r, r + core.TILE), slice(c, c + core.TILE)
+            g[rows, cols] = core.gram_tile(cache, rows, cols)
+    return g
+
+
 def _gram_of_pairs(original, variant) -> np.ndarray:
     aug = AugmentedSample(original=Sample(np.asarray(original, dtype=float)), variant=variant)
-    return build_gram(aug).g
+    return _tiled_g(build_gram(aug))
 
 
 def test_kernel_zero_distance_is_one():
@@ -75,7 +88,7 @@ def test_symmetrized_kernel_hand_value():
 
 def test_symmetrized_kernel_matches_naive():
     aug = augment(Sample(np.random.default_rng(2).standard_normal((10, 6))), RngStream(2))
-    g = build_gram(aug).g
+    g = _tiled_g(build_gram(aug))
     pairs = list(zip(aug.original.data, aug.variant))
     for i in range(10):
         for j in range(10):
@@ -101,7 +114,7 @@ def test_augmented_sample_norm_check():
 def test_build_gram_single_row():
     s = Sample(np.array([[3.0, 4.0]]))
     aug = augment(s, RngStream(0))
-    g = build_gram(aug).g
+    g = _tiled_g(build_gram(aug))
     assert g.shape == (1, 1) and g[0, 0] == 0.0
     k = dense_kernel_matrix(aug.original.data, aug.variant)
     k01 = naive_kernel(s.data[0], aug.variant[0], 2)
@@ -114,7 +127,7 @@ def test_build_gram_identical_rows_all_ones():
     data = np.tile(np.array([1.0, 2.0, 2.0]), (4, 1))
     s = Sample(data)
     aug = AugmentedSample(original=s, variant=data.copy())
-    assert np.all(build_gram(aug).g == 0.0)
+    assert np.all(_tiled_g(build_gram(aug)) == 0.0)
     assert np.all(dense_kernel_matrix(data, data) == 1.0)
 
 
@@ -123,7 +136,7 @@ def test_gram_properties_random():
     s = Sample(rng.standard_normal((15, 4)))
     aug = augment(s, RngStream(5))
     cache = build_gram(aug)
-    g = cache.g
+    g = _tiled_g(cache)
     assert np.all(np.diag(g) == 0.0)
     assert np.allclose(g, g.T, rtol=0.0, atol=1e-15)
     assert np.all(g >= -2.0) and np.all(g <= 2.0)
@@ -162,27 +175,35 @@ def test_build_gram_bit_identical_to_dense_kernel(n, d, scale):
     aug = augment(Sample(data), RngStream(n, (d,)))
     cache = build_gram(aug)
     want = g_from_kernel_matrix(dense_kernel_matrix(aug.original.data, aug.variant))
-    assert np.array_equal(cache.g, want)
-    assert not hasattr(cache, "k")
-    assert sum(v.nbytes for v in vars(cache).values() if isinstance(v, np.ndarray)) == 8 * n * n
-    assert not cache.g.flags.writeable
+    assert np.array_equal(_tiled_g(cache), want)
+    assert not hasattr(cache, "k") and not hasattr(cache, "g")
+    # the cache holds the two n x d arrays of rows and no n x n array
+    assert sum(v.nbytes for v in vars(cache).values() if isinstance(v, np.ndarray)) == 2 * 8 * n * d
 
 
 def _tiled_aug(n=1100, d=5):
     return augment(Sample(np.random.default_rng([n, d, 1]).standard_normal((n, d))), RngStream(n))
 
 
+def _signs(n, B, seed=0):
+    return calibrate._draw_signs(n, B, RngStream(seed, (7,)))
+
+
 def test_build_gram_same_bits_on_one_and_two_threads():
     if threads.openblas_thread_controls() is None:
         pytest.skip("numpy's OpenBLAS thread count cannot be read or set here")
     aug = _tiled_aug()
-    grams = []
+    cache = build_gram(aug)
+    signs = _signs(aug.n, 40)
+    grams, values = [], []
     for k in (1, 2):
         with threads.thread_limit(k):
             assert threads.blas_threads() == k
-            grams.append(build_gram(aug).g)
+            grams.append(_tiled_g(cache))
+            values.append(core.swap_values(cache, signs))
     assert np.array_equal(grams[0], grams[1])
     assert np.array_equal(grams[0], g_from_kernel_matrix(dense_kernel_matrix(aug.original.data, aug.variant)))
+    assert np.array_equal(values[0], values[1])
 
 
 def _no_pool(*args):
@@ -191,36 +212,139 @@ def _no_pool(*args):
 
 def test_build_gram_runs_serially_without_thread_control(monkeypatch):
     aug = _tiled_aug()
-    want = build_gram(aug).g
+    cache = build_gram(aug)
+    signs = _signs(aug.n, 40)
+    with threads.thread_limit(2) or contextlib.nullcontext():
+        want = core.swap_values(cache, signs)  # two threads where BLAS can be set
+    # BLAS's own thread count can move a product's last bits, so the serial
+    # pass runs with BLAS at one thread too, as the threaded pass holds it
+    hold = threads.thread_limit(1) or contextlib.nullcontext()
     monkeypatch.setattr(threads, "openblas_thread_controls", lambda: None)
     monkeypatch.setattr(threads, "ThreadPoolExecutor", _no_pool)
     assert threads.blas_threads() == 1
-    assert np.array_equal(build_gram(aug).g, want)
+    with hold:
+        assert np.array_equal(core.swap_values(build_gram(aug), signs), want)
 
 
-def test_build_gram_refuses_more_than_physical_memory(monkeypatch):
-    aug = augment(Sample(np.random.default_rng(9).standard_normal((10, 2))), RngStream(9))
-    need = 8 * 10 * 10 + 10 * 10 * 8  # G plus the one tile buffer of a one-tile G
+def _refuse_draws(monkeypatch):
+    def draw(*args):
+        raise AssertionError("signs drawn")
+
+    monkeypatch.setattr(calibrate, "_draw_signs", draw)
+
+
+def test_resampling_refuses_more_than_physical_memory(monkeypatch):
+    cache = build_gram(augment(Sample(np.random.default_rng(9).standard_normal((10, 2))), RngStream(9)))
+    draw = calibrate._draw_signs
+    # the B x n signs, one tile pair's B + 1 shares, one thread's tile and scratch
+    need = 8 * (7 * 10 + 1 * 8 + (10 * 10 + 10 * 10))
     monkeypatch.setattr(core, "_physical_memory_bytes", lambda: need - 1)
-    with pytest.raises(ValueError, match=f"n = 10 needs about {need} bytes"):
-        build_gram(aug)
+    _refuse_draws(monkeypatch)
+    message = f"n = 10 pairs with B = 7 sign vectors needs about {need} bytes"
+    with pytest.raises(ValueError, match=message):
+        calibrate.mc_pvalue(cache, 7, RngStream(0))
+    with pytest.raises(ValueError, match=message):
+        calibrate.critical_value(cache, 0.05, 7, RngStream(0))
+    with pytest.raises(ValueError, match=message):
+        core.swap_values(cache, np.ones((7, 10)))
+    monkeypatch.setattr(calibrate, "_draw_signs", draw)
     monkeypatch.setattr(core, "_physical_memory_bytes", lambda: need)
-    assert build_gram(aug).n == 10
+    want = calibrate.mc_pvalue(cache, 7, RngStream(0))
+    assert want.B == 7
     monkeypatch.setattr(core, "_physical_memory_bytes", lambda: None)
-    assert build_gram(aug).n == 10
+    assert calibrate.mc_pvalue(cache, 7, RngStream(0)) == want
 
 
-def test_memory_guard_counts_two_buffers_per_worker_for_a_tiled_gram(monkeypatch):
+def test_memory_guard_counts_the_tiled_pass(monkeypatch):
     aug = augment(Sample(np.random.default_rng(9).standard_normal((10, 2))), RngStream(9))
+    cache = build_gram(aug)
     monkeypatch.setattr(core, "TILE", 4)  # three tiles, six tile pairs
     monkeypatch.setattr(core, "blas_threads", lambda: 2)
-    need = 8 * 10 * 10 + 2 * 2 * 4 * 4 * 8  # G plus two workers' two tile buffers
+    # signs, six pairs' B + 1 shares, two threads' tile (4 x 4) and scratch (B x 4)
+    need = 8 * (5 * 10 + 6 * 6 + 2 * (4 * 4 + 5 * 4))
     monkeypatch.setattr(core, "_physical_memory_bytes", lambda: need - 1)
-    with pytest.raises(ValueError, match=f"n = 10 needs about {need} bytes"):
-        build_gram(aug)
+    with pytest.raises(ValueError, match=f"n = 10 pairs with B = 5 sign vectors needs about {need} bytes"):
+        calibrate.mc_pvalue(cache, 5, RngStream(3))
     monkeypatch.setattr(core, "_physical_memory_bytes", lambda: need)
-    want = g_from_kernel_matrix(dense_kernel_matrix(aug.original.data, aug.variant))
-    assert np.array_equal(build_gram(aug).g, want)
+    signs = _signs(10, 5)
+    g = g_from_kernel_matrix(dense_kernel_matrix(aug.original.data, aug.variant))
+    want = np.einsum("ij,ij->i", signs @ g, signs) / 90
+    np.testing.assert_allclose(core.swap_values(cache, signs)[1:], want, rtol=0, atol=1e-15)
+
+
+def test_resampling_refuses_a_huge_B_without_allocating(monkeypatch):
+    cache = build_gram(augment(Sample(np.random.default_rng(9).standard_normal((10, 2))), RngStream(9)))
+    if core._physical_memory_bytes() is None:
+        monkeypatch.setattr(core, "_physical_memory_bytes", lambda: 1 << 40)
+    _refuse_draws(monkeypatch)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"n = 10 pairs with B = 1000000000000 sign vectors"):
+            calibrate.mc_pvalue(cache, 10**12, RngStream(0))
+        with pytest.raises(ValueError, match=r"B = 1000000000000 sign vectors"):
+            calibrate.critical_value(cache, 0.05, 10**12, RngStream(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("n", [10, 13])  # 13: a ragged last tile
+def test_swap_values_same_bits_on_one_and_two_workers(monkeypatch, n):
+    cache = build_gram(augment(Sample(np.random.default_rng(n).standard_normal((n, 3))), RngStream(n)))
+    monkeypatch.setattr(core, "TILE", 4)
+    signs = _signs(n, 33)
+    values = []
+    for workers in (1, 2):
+        monkeypatch.setattr(core, "blas_threads", lambda: workers)
+        values.append(core.swap_values(cache, signs))
+    assert np.array_equal(values[0], values[1])
+
+
+@pytest.mark.parametrize("n, tile", [(13, 4), (40, 512), (1100, 512)])
+def test_swap_values_match_the_dense_quadratic_forms(monkeypatch, n, tile):
+    aug = augment(Sample(np.random.default_rng([n, 2]).standard_normal((n, 4))), RngStream(n, (2,)))
+    monkeypatch.setattr(core, "TILE", tile)
+    signs = _signs(n, 25)
+    values = core.swap_values(build_gram(aug), signs)
+    g = g_from_kernel_matrix(dense_kernel_matrix(aug.original.data, aug.variant))
+    norm = n * (n - 1)
+    assert abs(values[0] - g.sum() / norm) <= 1e-15
+    want = np.einsum("ij,ij->i", signs @ g, signs) / norm
+    np.testing.assert_allclose(values[1:], want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("tile", [4, 512])
+def test_swap_values_all_ones_give_the_observed_value_and_minus_s_gives_s(monkeypatch, tile):
+    cache = build_gram(_tiled_aug(n=13, d=3))
+    monkeypatch.setattr(core, "TILE", tile)
+    obs = core.swap_values(cache)
+    assert obs.shape == (1,)
+    ones = core.swap_values(cache, np.ones((1, 13)))
+    assert ones[0] == ones[1] == obs[0]
+    signs = _signs(13, 30)
+    signs[4] = 1.0
+    values = core.swap_values(cache, signs)
+    assert values[0] == obs[0]
+    assert abs(values[5] - obs[0]) <= 1e-15
+    assert np.array_equal(core.swap_values(cache, -signs), values)
+    if tile >= 13:  # G is one tile, as the exact enumeration reads it
+        g, stat = core.one_tile(cache)
+        assert stat == obs[0]
+        assert np.array_equal(g, _tiled_g(cache))
+
+
+def test_mc_pvalue_never_allocates_the_dense_gram():
+    n = 2000
+    cache = build_gram(_tiled_aug(n=n, d=10))
+    tracemalloc.start()
+    try:
+        calibrate.mc_pvalue(cache, 500, RngStream(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # G alone would be 8 n^2 = 32 MB; the pass holds 8 MB of signs and a few tiles
+    assert peak < 8 * n * n
 
 
 def test_zeta_hat_n2_hand_value():
@@ -304,5 +428,5 @@ def test_symmetrized_kernel_antisymmetry(seed, n, d):
     aug = augment(Sample(np.random.default_rng(seed).standard_normal((n, d))), RngStream(seed))
     s = np.ones(n)
     s[seed % n] = -1.0
-    want = s[:, None] * build_gram(aug).g * s
-    np.testing.assert_allclose(build_gram(swap_pairs(aug, s)).g, want, rtol=0.0, atol=1e-12)
+    want = s[:, None] * _tiled_g(build_gram(aug)) * s
+    np.testing.assert_allclose(_tiled_g(build_gram(swap_pairs(aug, s))), want, rtol=0.0, atol=1e-12)

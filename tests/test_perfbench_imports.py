@@ -2,9 +2,11 @@
 
 ``perfbench/workloads.py`` imports public spheresym names; loading it here
 turns a removed or renamed name into a test failure instead of a failed
-benchmark run.  The oracle workload's reference gate runs here too, so an
-oracle whose estimates drift from ``perfbench/reference.json`` fails the
-tests, not the benchmark.  The files are loaded by path and not modified.
+benchmark run.  The reference gates of the oracle workload and of one
+seed-0 ``cli_large`` and one seed-0 ``exact`` op run here too, so an
+estimate that drifts from ``perfbench/reference.json``, or a summation-order
+change that flips a p-value, fails the tests, not the benchmark.  The files
+are loaded by path and not modified.
 """
 
 import importlib.util
@@ -38,3 +40,12 @@ def test_oracle_workload_passes_its_reference_gate(monkeypatch, tmp_path):
     assert len(ops) == len(module.Oracle.DIMS)
     for op in ops:
         wl.check(op, wl.result(op, wl.invoke(op)), refs[op.key])
+
+
+def test_one_cli_large_and_one_exact_op_pass_their_reference_gates(monkeypatch, tmp_path):
+    module = _load_workloads(monkeypatch)
+    refs = json.loads((PERFBENCH / "reference.json").read_text())
+    for workload in (module.CliLarge, module.Exact):
+        wl = workload(module.DEFAULT_SEED, str(tmp_path))
+        op = wl.round_ops(0)[0]
+        wl.check(op, wl.result(op, wl.invoke(op)), refs[wl.name][op.key])
