@@ -10,7 +10,6 @@ from .calibrate import (
 )
 from .core import (
     AugmentedSample,
-    GramCache,
     Sample,
     ZetaEstimate,
     build_gram,
@@ -23,7 +22,6 @@ from .rng import RngStream
 __all__ = [
     "AugmentedSample",
     "CovSpec",
-    "GramCache",
     "HaarConfig",
     "RngStream",
     "Sample",

@@ -5,14 +5,15 @@ A resample is a sign vector s in {+1, -1}^n: s_i = +1 keeps the pair
 when exactly one of its two pairs is swapped, the resampled statistic is the
 signed quadratic form
 
-    zeta_hat(s) = s^T G s / (n (n-1)),
+    s^T G s / (n (n-1)),
 
 where G is the n x n matrix of pairwise g values; s and its complement -s
-give the same value.  The observed value and all B Monte Carlo resamples
-come from one pass over G's tiles (``core.swap_values``), which builds each
-upper tile once and holds no n x n array; the exact enumeration (n <= 26)
-builds G as one tile and assembles the same quadratic forms from two
-half-tables of sign vectors (``exact_pvalue``).  In exact arithmetic the
+give the same value.  Every p-value is computed from the augmented sample
+itself (``core.AugmentedSample``).  The observed value and all B Monte
+Carlo resamples come from one pass over G's tiles (``core.swap_values``),
+which builds each upper tile once and holds no n x n array; the exact
+enumeration (n <= 26) builds G as one tile and assembles the same quadratic
+forms from two half-tables of sign vectors (``exact_pvalue``).  In exact arithmetic the
 all-ones vector and the full swap tie with the observed statistic;
 differently ordered sums of the same value may still differ in the last
 bits, which the tie guard absorbs.
@@ -25,7 +26,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .augment import augment, center
-from .core import GramCache, Sample, build_gram, one_tile, resample_plan, swap_values
+from .core import AugmentedSample, Sample, one_tile, resample_plan, swap_values
 from .rng import RngStream
 
 DEFAULT_B = 500
@@ -56,6 +57,11 @@ class TestOutcome:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _check_alpha(alpha: float) -> None:
+    if not (0 < alpha < 1):
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
 def cutoff_bound(n: int, alpha: float) -> float:
@@ -98,7 +104,7 @@ def _branch_sums(w: np.ndarray, base: np.ndarray):
     yield from _branch_sums(w[:-1], base - w[-1])
 
 
-def exact_pvalue(cache: GramCache, alpha: float = DEFAULT_ALPHA) -> TestOutcome:
+def exact_pvalue(aug: AugmentedSample, alpha: float = DEFAULT_ALPHA) -> TestOutcome:
     """p-value by full enumeration of all 2^n masks, met in the middle.
 
     Since value(s) = value(-s), only the 2^(n-1) masks that keep one pair are
@@ -116,12 +122,13 @@ def exact_pvalue(cache: GramCache, alpha: float = DEFAULT_ALPHA) -> TestOutcome:
     product, and the run time would follow the machine's other load.  Tiles
     are normalised and counted one by one.
     """
-    n = cache.n
+    _check_alpha(alpha)
+    n = aug.n
     if n > ENUM_LIMIT:
         raise ValueError(
             f"exact enumeration needs n <= {ENUM_LIMIT} (2^n resamples); got n = {n}"
         )
-    g, obs = one_tile(cache)
+    g, obs = one_tile(aug)
     a = (n + 1) // 2  # A = pairs 0..a-1, B = pairs a..n-1; pair a-1 is kept
     half = 1 << (a - 1)  # the rows of A's sign table that keep pair a-1
     # G s for every half sign vector s, then s^T (G s)
@@ -150,7 +157,7 @@ def exact_pvalue(cache: GramCache, alpha: float = DEFAULT_ALPHA) -> TestOutcome:
         reject=p < alpha,
         c_alpha_bound=cutoff_bound(n, alpha),
         n=n,
-        d=cache.d,
+        d=aug.d,
     )
 
 
@@ -169,13 +176,21 @@ def _draw_signs(n: int, B: int, rng: RngStream) -> np.ndarray:
     return bits.view(np.float64)
 
 
-def mc_pvalue(cache: GramCache, B: int, rng: RngStream, alpha: float = DEFAULT_ALPHA) -> TestOutcome:
-    """Randomized p-value (count + 1) / (B + 1) over B uniform masks."""
+def _resample(aug: AugmentedSample, B: int, rng: RngStream) -> np.ndarray:
+    """The observed statistic, then those of B uniform masks drawn from ``rng``.
+
+    A B < 1, or a pass that would not fit in memory, is refused before drawing.
+    """
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
-    n = cache.n
-    resample_plan(n, B)  # refuse a size that would not fit before drawing
-    values = swap_values(cache, _draw_signs(n, B, rng))
+    resample_plan(aug.n, B)
+    return swap_values(aug, _draw_signs(aug.n, B, rng))
+
+
+def mc_pvalue(aug: AugmentedSample, B: int, rng: RngStream, alpha: float = DEFAULT_ALPHA) -> TestOutcome:
+    """Randomized p-value (count + 1) / (B + 1) over B uniform masks."""
+    _check_alpha(alpha)
+    values = _resample(aug, B, rng)
     obs = float(values[0])
     p = (_count_ties_or_exceed(values[1:], obs) + 1) / (B + 1)
     return TestOutcome(
@@ -184,26 +199,22 @@ def mc_pvalue(cache: GramCache, B: int, rng: RngStream, alpha: float = DEFAULT_A
         method="monte-carlo",
         alpha=alpha,
         reject=p < alpha,
-        c_alpha_bound=cutoff_bound(n, alpha),
-        n=n,
-        d=cache.d,
+        c_alpha_bound=cutoff_bound(aug.n, alpha),
+        n=aug.n,
+        d=aug.d,
         B=B,
         seed=rng.seed,
     )
 
 
-def critical_value(cache: GramCache, alpha: float, B: int, rng: RngStream) -> float:
+def critical_value(aug: AugmentedSample, alpha: float, B: int, rng: RngStream) -> float:
     """Empirical (1 - alpha)-quantile of B resampled statistics.
 
     Diagnostic only; the test decision uses the p-value.  The observed
     statistic is not included in the quantile pool.
     """
-    if not (0 < alpha < 1):
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if B < 1:
-        raise ValueError(f"B must be >= 1, got {B}")
-    resample_plan(cache.n, B)  # refuse a size that would not fit before drawing
-    values = np.sort(swap_values(cache, _draw_signs(cache.n, B, rng))[1:])
+    _check_alpha(alpha)
+    values = np.sort(_resample(aug, B, rng)[1:])
     # smallest t with empirical cdf >= 1 - alpha
     rank = int(np.ceil(B * (1.0 - alpha)))
     rank = max(rank, 1)
@@ -218,14 +229,14 @@ def run_test(
     center_mode: str = "none",
     exact: bool = False,
 ) -> TestOutcome:
-    """Full pipeline: center, augment, cache, statistic, calibrated decision."""
+    """Full pipeline: center, augment, then the calibrated p-value and decision."""
+    _check_alpha(alpha)
     if sample.n < 2:
         raise ValueError("test needs at least two observations")
     centered = center(sample, mode=center_mode)
     aug = augment(centered, rng.child(0))
-    cache = build_gram(aug)
     if exact:
-        outcome = exact_pvalue(cache, alpha=alpha)
+        outcome = exact_pvalue(aug, alpha=alpha)
     else:
-        outcome = mc_pvalue(cache, B, rng.child(1), alpha=alpha)
+        outcome = mc_pvalue(aug, B, rng.child(1), alpha=alpha)
     return replace(outcome, seed=rng.seed, center=center_mode)

@@ -10,10 +10,11 @@ dimension d; there is no user-tunable bandwidth.
 
 The observed statistic and every swap resample are signed quadratic forms
 s^T G s / (n (n-1)) in the n x n matrix G of pair values g_ij (zero
-diagonal), and no code holds G.  :func:`swap_values` splits it into square
-tiles of ``TILE`` rows and, for each upper tile pair (I, J), J >= I, builds
-the tile G_IJ (:func:`gram_tile`), takes its share s_I^T G_IJ s_J of every
-form (doubled off the diagonal) and drops it.  The tile pairs run through
+diagonal), read from the :class:`AugmentedSample` itself, and no code
+holds G.  :func:`swap_values` splits it into square tiles of ``TILE`` rows
+and, for each upper tile pair (I, J), J >= I, builds the tile G_IJ
+(:func:`gram_tile`), takes its share s_I^T G_IJ s_J of every form (doubled
+off the diagonal) and drops it.  The tile pairs run through
 ``threads.fan_out`` on as many threads as numpy's BLAS is set to use, with
 BLAS held at one thread while more than one runs, and their shares are
 summed in pair order, so past one tile the values are the same bit for bit
@@ -45,8 +46,8 @@ TILE = 512  # rows per Gram tile; at n <= TILE, G is one diagonal tile
 class Sample:
     """An n x d matrix of observations, rows = observations.
 
-    Entries must be finite.  A single-row sample is accepted (the Gram cache
-    is well defined for n = 1); the statistic itself requires n >= 2.
+    Entries must be finite.  A single-row sample is accepted (its one Gram
+    tile is well defined); the statistic itself requires n >= 2.
     """
 
     data: np.ndarray
@@ -74,8 +75,10 @@ class Sample:
 class AugmentedSample:
     """Pairs (X_i, X'_i) where X'_i = ||X_i|| U_i lies on the same sphere shell.
 
-    Row norms of ``variant`` match those of ``original`` (zero rows map to
-    zero rows).  Construction lives in :func:`spheresym.augment.augment`.
+    Every statistic and p-value is computed from this object.  Entries of
+    ``variant`` must be finite, and its row norms match those of
+    ``original`` (zero rows map to zero rows).  Construction lives in
+    :func:`spheresym.augment.augment`.
     """
 
     original: Sample
@@ -87,6 +90,8 @@ class AugmentedSample:
             raise ValueError(
                 f"variant shape {variant.shape} != original shape {self.original.data.shape}"
             )
+        if not np.isfinite(variant).all():
+            raise ValueError("variant contains NaN or Inf")
         norm_o = np.linalg.norm(self.original.data, axis=1)
         norm_v = np.linalg.norm(variant, axis=1)
         if not np.allclose(norm_v, norm_o, rtol=1e-9, atol=1e-300):
@@ -100,38 +105,6 @@ class AugmentedSample:
     @property
     def d(self) -> int:
         return self.original.d
-
-
-@dataclass(frozen=True)
-class GramCache:
-    """The augmented rows X (``original``) and X' (``variant``) that G is built from.
-
-    Built by :func:`build_gram`, which stores the augmented sample's two
-    n x d arrays as they are.  It holds no n x n array: every statistic
-    builds the tiles of G it needs and drops them (:func:`swap_values`).
-    """
-
-    original: np.ndarray
-    variant: np.ndarray
-
-    def __post_init__(self):
-        if self.original.ndim != 2 or self.variant.shape != self.original.shape:
-            raise ValueError(
-                f"rows of shapes {self.original.shape} and {self.variant.shape} are not two n x d arrays"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.original.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.original.shape[1]
-
-
-def build_gram(aug: AugmentedSample) -> GramCache:
-    """The cache every statistic of ``aug`` is computed from; evaluates no kernel."""
-    return GramCache(original=aug.original.data, variant=aug.variant)
 
 
 def _physical_memory_bytes() -> int | None:
@@ -156,7 +129,7 @@ def _kernel_tile(a: np.ndarray, b: np.ndarray, d: int, buf: np.ndarray) -> np.nd
     return np.exp(out, out=out)
 
 
-def gram_tile(cache: GramCache, rows: slice, cols: slice, out=None, scratch=None) -> np.ndarray:
+def gram_tile(aug: AugmentedSample, rows: slice, cols: slice, out=None, scratch=None) -> np.ndarray:
     """G's block (rows, cols), written into the front of the flat buffer ``out``.
 
     Every entry is summed as (Kxx + Kx'x') - E_ij - E_ji with E = K(X, X'),
@@ -166,7 +139,7 @@ def gram_tile(cache: GramCache, rows: slice, cols: slice, out=None, scratch=None
     distances are bit-for-bit symmetric, so any block is bit for bit that of
     the matrix derived from a full 2n x 2n kernel matrix.
     """
-    x, v, d = cache.original, cache.variant, cache.d
+    x, v, d = aug.original.data, aug.variant, aug.d
     size = len(x[rows]) * len(x[cols])
     out = np.empty(size) if out is None else out
     scratch = np.empty(size) if scratch is None else scratch
@@ -210,13 +183,13 @@ def _forms(left: np.ndarray, g: np.ndarray, right: np.ndarray, out: np.ndarray, 
     np.einsum("ij,ij->i", np.matmul(left, g, out=product), right, out=out)
 
 
-def _tile_shares(cache, rows, cols, signs, ones, shares, out, scratch) -> np.ndarray:
+def _tile_shares(aug, rows, cols, signs, ones, shares, out, scratch) -> np.ndarray:
     """Build G's tile (rows, cols) and write its share of every form to ``shares``; return the tile.
 
     ``shares`` gets the all-ones form first, then one value per row of
     ``signs``, doubled off the diagonal for the mirror tile (cols, rows).
     """
-    g = gram_tile(cache, rows, cols, out, scratch)
+    g = gram_tile(aug, rows, cols, out, scratch)
     c = g.shape[1]
     _forms(ones[:, rows], g, ones[:, cols], shares[:1], scratch[:c].reshape(1, c))
     if len(signs):
@@ -239,7 +212,7 @@ def _statistics(shares: np.ndarray, n: int) -> np.ndarray:
     return values
 
 
-def swap_values(cache: GramCache, signs: np.ndarray | None = None) -> np.ndarray:
+def swap_values(aug: AugmentedSample, signs: np.ndarray | None = None) -> np.ndarray:
     """The observed statistic, then s^T G s / (n (n-1)) for each row s of ``signs``, in one pass.
 
     ``signs`` is a (B, n) array of +1/-1 entries, which are not checked here
@@ -249,7 +222,7 @@ def swap_values(cache: GramCache, signs: np.ndarray | None = None) -> np.ndarray
     thread builds tiles, BLAS is held at one thread.  A value outside
     [-2, 2] is refused.
     """
-    n = cache.n
+    n = aug.n
     s = np.empty((0, n)) if signs is None else signs
     B = len(s)
     tile, pairs, workers = resample_plan(n, B)
@@ -261,7 +234,7 @@ def swap_values(cache: GramCache, signs: np.ndarray | None = None) -> np.ndarray
 
     def share(bufs, task):
         p, (rows, cols) = task
-        _tile_shares(cache, rows, cols, s, ones, shares[p], *bufs)
+        _tile_shares(aug, rows, cols, s, ones, shares[p], *bufs)
 
     hold = thread_limit(1) if workers > 1 else None
     with hold or contextlib.nullcontext():
@@ -269,30 +242,20 @@ def swap_values(cache: GramCache, signs: np.ndarray | None = None) -> np.ndarray
     return _statistics(shares, n)
 
 
-def one_tile(cache: GramCache) -> tuple[np.ndarray, float]:
+def one_tile(aug: AugmentedSample) -> tuple[np.ndarray, float]:
     """G built as one tile, and the observed statistic with the bits :func:`swap_values` gives at n <= TILE.
 
     For small samples that need G itself (the exact enumeration).
     """
-    n = cache.n
+    n = aug.n
     whole = slice(0, n)
     shares = np.empty((1, 1))
-    g = _tile_shares(cache, whole, whole, np.empty((0, n)), np.ones((1, n)), shares[0],
+    g = _tile_shares(aug, whole, whole, np.empty((0, n)), np.ones((1, n)), shares[0],
                      np.empty(n * n), np.empty(n * n))
     return g, float(_statistics(shares, n)[0])
 
 
-@dataclass(frozen=True)
-class ZetaEstimate:
-    """Value of the pairwise statistic, as :func:`zeta_hat` returns it.
-
-    :func:`swap_values` has already checked that the value lies in [-2, 2].
-    """
-
-    value: float
-
-
-def swap_statistic(cache: GramCache, signs: np.ndarray):
+def swap_statistic(aug: AugmentedSample, signs: np.ndarray):
     """Statistic s^T G s / (n (n-1)) after the swaps the signs select.
 
     s_i = +1 keeps pair i and s_i = -1 swaps it, so all ones gives the
@@ -301,18 +264,31 @@ def swap_statistic(cache: GramCache, signs: np.ndarray):
     values); any entry other than +1 or -1 is refused, and so is a value
     outside [-2, 2].  The values are those of :func:`swap_values`.
     """
-    n = cache.n
+    n = aug.n
     s = np.asarray(signs, dtype=float)
     if s.ndim not in (1, 2) or s.shape[-1] != n:
         raise ValueError(f"signs of shape {s.shape} do not match n = {n}")
     if not ((s == 1) | (s == -1)).all():
         raise ValueError("sign entries must be +1 or -1")
-    values = swap_values(cache, np.atleast_2d(s))[1:]
+    values = swap_values(aug, np.atleast_2d(s))[1:]
     return float(values[0]) if s.ndim == 1 else values
 
 
-def zeta_hat(aug: AugmentedSample, cache: GramCache) -> ZetaEstimate:
-    """U-statistic average of g over all pairs i < j, from one pass over the cache's tiles."""
-    if cache.n != aug.n or cache.d != aug.d:
-        raise ValueError("cache does not match the augmented sample")
-    return ZetaEstimate(value=float(swap_values(cache)[0]))
+def build_gram(aug: AugmentedSample) -> AugmentedSample:
+    """Returns ``aug``.  Kept only for the benchmark's imports; goes with ROADMAP item 1."""
+    return aug
+
+
+@dataclass(frozen=True)
+class ZetaEstimate:
+    """The value :func:`zeta_hat` returns.  Kept only for the benchmark; goes with ROADMAP item 1."""
+
+    value: float
+
+
+def zeta_hat(aug: AugmentedSample, cache) -> ZetaEstimate:
+    """The observed statistic of ``aug``; ``cache`` is not read.
+
+    Kept only for the benchmark's imports; goes with ROADMAP item 1.
+    """
+    return ZetaEstimate(value=float(swap_values(aug)[0]))

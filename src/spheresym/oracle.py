@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import augment
-from .core import build_gram, swap_values
+from .core import swap_values
 from .rng import RngStream
 from .threads import blas_threads, fan_out
 
@@ -206,7 +206,5 @@ def mc_zeta(spec, n_big: int = 200, reps: int = 200, rng: RngStream = RngStream(
     values = np.empty(reps)
     for r in range(reps):
         s = sample_dist(spec, n_big, rng.child(r, 0))
-        aug = augment(s, rng.child(r, 1))
-        cache = build_gram(aug)
-        values[r] = swap_values(cache)[0]
+        values[r] = swap_values(augment(s, rng.child(r, 1)))[0]
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(reps))

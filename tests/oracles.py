@@ -73,16 +73,16 @@ def naive_exact_pvalue(original, variant) -> float:
     return count / (1 << n)
 
 
-def direct_exact_pvalue(cache) -> float:
+def direct_exact_pvalue(aug) -> float:
     """Exact p-value from all 2^n masks, each value s^T G s / (n(n-1)) on its own.
 
     Masks are taken in chunks of 2^15 consecutive codes; each chunk is one
     batch through ``core.swap_statistic``, compared with the same guarded
     ">=" rule as ``naive_exact_pvalue``.
     """
-    n = cache.n
+    n = aug.n
     chunk = 1 << 15
-    observed = swap_statistic(cache, np.ones(n))
+    observed = swap_statistic(aug, np.ones(n))
     guard = 1e-12 * max(1.0, abs(observed))
     total = 1 << n
     count = 0
@@ -90,7 +90,7 @@ def direct_exact_pvalue(cache) -> float:
     for start in range(0, total, chunk):
         codes = np.arange(start, min(start + chunk, total), dtype=np.uint64)
         signs = 2.0 * ((codes[:, None] >> shifts) & 1) - 1.0
-        count += int((swap_statistic(cache, signs) >= observed - guard).sum())
+        count += int((swap_statistic(aug, signs) >= observed - guard).sum())
     return count / total
 
 

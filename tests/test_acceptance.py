@@ -17,14 +17,12 @@ from spheresym import (
     RngStream,
     Sample,
     augment,
-    build_gram,
     critical_value,
     exact_pvalue,
     gaussian_zeta,
     mc_pvalue,
     mc_zeta,
     swap_statistic,
-    zeta_hat,
 )
 from spheresym.calibrate import cutoff_bound
 from spheresym.core import gram_tile
@@ -173,8 +171,7 @@ def test_criterion_6_unbiasedness():
     for r in range(reps):
         rng = RngStream(108, (r,))
         s = sample(spec, n, rng.child(0))
-        aug = augment(s, rng.child(1))
-        values[r] = zeta_hat(aug, build_gram(aug)).value
+        values[r] = swap_statistic(augment(s, rng.child(1)), np.ones(n))
     mean = values.mean()
     se_mean = values.std(ddof=1) / math.sqrt(reps)
     target, se_t = gaussian_zeta(CovSpec(spec.covariance()), d, HaarConfig(m=100_000, seed=109))
@@ -216,10 +213,9 @@ def test_criterion_8_exact_vs_monte_carlo():
     n = 10
     s = Sample(np.random.default_rng(112).standard_normal((n, 3)))
     aug = augment(s, RngStream(113))
-    cache = build_gram(aug)
-    p_exact = exact_pvalue(cache).p_value
+    p_exact = exact_pvalue(aug).p_value
     p_naive = naive_exact_pvalue(aug.original.data, aug.variant)
-    p_mc = mc_pvalue(cache, 50_000, RngStream(114)).p_value
+    p_mc = mc_pvalue(aug, 50_000, RngStream(114)).p_value
     ok = abs(p_mc - p_exact) <= 0.01 and abs(p_exact - p_naive) <= 1e-12
     _report(
         "criterion 8, exact vs Monte Carlo p-value",
@@ -241,8 +237,7 @@ def test_criterion_9_cutoff_bound():
             for rep in range(360):
                 s = Sample(gen.standard_normal((n, 3)))
                 rng = RngStream(116, (n, rep))
-                cache = build_gram(augment(s, rng.child(0)))
-                c = critical_value(cache, alpha, 32, rng.child(1))
+                c = critical_value(augment(s, rng.child(0)), alpha, 32, rng.child(1))
                 violations += c > cutoff_bound(n, alpha)
                 runs += 1
     ok = violations == 0 and runs >= 10_000
@@ -257,9 +252,9 @@ def test_criterion_9_cutoff_bound():
 # -- 10. structural invariants ----------------------------------------------
 
 
-def whole_g(cache):
+def whole_g(aug):
     """G read as one block of the tile function."""
-    return gram_tile(cache, slice(0, cache.n), slice(0, cache.n))
+    return gram_tile(aug, slice(0, aug.n), slice(0, aug.n))
 
 
 def test_criterion_10_structural_invariants():
@@ -271,25 +266,24 @@ def test_criterion_10_structural_invariants():
         n, d = int(gen.integers(3, 8)), int(gen.integers(1, 5))
         s = Sample(gen.standard_normal((n, d)))
         aug = augment(s, RngStream(118, (t,)))
-        cache = build_gram(aug)
-        stat = zeta_hat(aug, cache).value
+        stat = swap_statistic(aug, np.ones(n))
 
         # swapping pair t % n turns G into D G D, D = diag(signs)
         signs = np.ones(n)
         signs[t % n] = -1.0
-        swapped = whole_g(build_gram(swap_pairs(aug, signs)))
-        anti += np.abs(swapped - signs[:, None] * whole_g(cache) * signs).max() <= 1e-12
+        swapped = whole_g(swap_pairs(aug, signs))
+        anti += np.abs(swapped - signs[:, None] * whole_g(aug) * signs).max() <= 1e-12
 
-        full_swap += abs(swap_statistic(cache, -np.ones(n)) - stat) <= 1e-12
+        full_swap += abs(swap_statistic(aug, -np.ones(n)) - stat) <= 1e-12
 
         signs = 2.0 * gen.integers(0, 2, size=n) - 1.0
-        a = swap_statistic(cache, signs)
-        b = swap_statistic(cache, -signs)
+        a = swap_statistic(aug, signs)
+        b = swap_statistic(aug, -signs)
         complement += abs(a - b) <= 1e-12
 
         q, _ = np.linalg.qr(gen.standard_normal((d, d)))
         rot = AugmentedSample(original=Sample(aug.original.data @ q.T), variant=aug.variant @ q.T)
-        rotation += abs(zeta_hat(rot, build_gram(rot)).value - stat) <= 1e-12
+        rotation += abs(swap_statistic(rot, np.ones(n)) - stat) <= 1e-12
 
         naive_ok += abs(naive_zeta(aug.original.data, aug.variant) - stat) <= 1e-12
 

@@ -5,120 +5,118 @@ import pytest
 
 from spheresym import (
     AugmentedSample,
-    GramCache,
     RngStream,
     Sample,
     augment,
-    build_gram,
     critical_value,
     exact_pvalue,
     mc_pvalue,
     run_test,
     swap_statistic,
-    zeta_hat,
 )
 from spheresym import calibrate, core
 from spheresym.calibrate import ENUM_LIMIT, cutoff_bound
 from oracles import direct_exact_pvalue, naive_exact_pvalue, naive_resampled_zeta
 
 
-def _random_cache(seed, n=10, d=3):
+def _random_aug(seed, n=10, d=3):
     s = Sample(np.random.default_rng(seed).standard_normal((n, d)))
-    aug = augment(s, RngStream(seed, (1,)))
-    return aug, build_gram(aug)
+    return augment(s, RngStream(seed, (1,)))
 
 
 def test_swap_mask_validation():
-    _, cache = _random_cache(0, n=3)
+    aug = _random_aug(0, n=3)
     with pytest.raises(ValueError, match=r"\+1 or -1"):
-        swap_statistic(cache, np.array([1.0, 0.0, -1.0]))
+        swap_statistic(aug, np.array([1.0, 0.0, -1.0]))
     with pytest.raises(ValueError, match=r"\+1 or -1"):
-        swap_statistic(cache, np.array([[1.0, 2.0, -1.0], [1.0, 1.0, 1.0]]))
+        swap_statistic(aug, np.array([[1.0, 2.0, -1.0], [1.0, 1.0, 1.0]]))
     with pytest.raises(ValueError, match="shape"):
-        swap_statistic(cache, np.ones((2, 2, 3)))
+        swap_statistic(aug, np.ones((2, 2, 3)))
 
 
 def test_resample_identity_and_full_swap_reproduce_statistic():
-    aug, cache = _random_cache(0)
-    stat = zeta_hat(aug, cache).value
-    assert swap_statistic(cache, np.ones(10)) == stat
-    assert swap_statistic(cache, -np.ones(10)) == pytest.approx(stat, abs=1e-14)
+    aug = _random_aug(0)
+    stat = core.swap_values(aug)[0]
+    assert swap_statistic(aug, np.ones(10)) == stat
+    assert swap_statistic(aug, -np.ones(10)) == pytest.approx(stat, abs=1e-14)
 
 
 def test_resample_hand_value_n2():
     original = np.array([[1.0, 0.0], [-1.0, 0.0]])
     variant = np.array([[0.0, 1.0], [0.0, -1.0]])
     aug = AugmentedSample(original=Sample(original), variant=variant)
-    cache = build_gram(aug)
-    got = swap_statistic(cache, np.array([1.0, -1.0]))
+    got = swap_statistic(aug, np.array([1.0, -1.0]))
     expected = 2.0 * math.exp(-0.5) - 2.0 * math.exp(-1.0)  # ~ +0.477297
     assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_resample_matches_naive_recomputation():
-    aug, cache = _random_cache(1, n=8)
+    aug = _random_aug(1, n=8)
     gen = np.random.default_rng(2)
     for _ in range(20):
         bits = gen.integers(0, 2, size=8)
-        got = swap_statistic(cache, 2.0 * bits - 1.0)
+        got = swap_statistic(aug, 2.0 * bits - 1.0)
         want = naive_resampled_zeta(aug.original.data, aug.variant, bits)
         assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_resample_complement_equality():
-    _, cache = _random_cache(3, n=12)
+    aug = _random_aug(3, n=12)
     gen = np.random.default_rng(4)
     for _ in range(20):
         signs = 2.0 * gen.integers(0, 2, size=12) - 1.0
-        a = swap_statistic(cache, signs)
-        b = swap_statistic(cache, -signs)
+        a = swap_statistic(aug, signs)
+        b = swap_statistic(aug, -signs)
         assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_resample_length_mismatch():
-    _, cache = _random_cache(5)
+    aug = _random_aug(5)
     with pytest.raises(ValueError):
-        swap_statistic(cache, np.ones(5))
+        swap_statistic(aug, np.ones(5))
 
 
 def test_swap_statistic_refuses_values_outside_the_range(monkeypatch):
     # entries of a real G lie in [-2, 2]; a corrupt tile must fail loudly,
     # for the observed value and for every resample, in run_test's p-values too
-    def corrupt_tile(cache, rows, cols, out=None, scratch=None):
-        g = np.full((cache.n, cache.n), 3.0)
-        np.fill_diagonal(g, 0.0)
-        return g[rows, cols]
+    def tile_of(value):
+        def corrupt_tile(aug, rows, cols, out=None, scratch=None):
+            g = np.full((aug.n, aug.n), value)
+            np.fill_diagonal(g, 0.0)
+            return g[rows, cols]
 
-    cache = GramCache(original=np.ones((4, 1)), variant=-np.ones((4, 1)))
-    monkeypatch.setattr(core, "gram_tile", corrupt_tile)
+        return corrupt_tile
+
+    aug = AugmentedSample(original=Sample(np.ones((4, 1))), variant=-np.ones((4, 1)))
+    monkeypatch.setattr(core, "gram_tile", tile_of(3.0))
     with pytest.raises(ValueError, match=r"out of range \[-2, 2\]: 3"):
-        swap_statistic(cache, np.ones(4))
+        swap_statistic(aug, np.ones(4))
     with pytest.raises(ValueError, match="out of range"):
-        swap_statistic(cache, np.array([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, 1.0, 1.0]]))
+        swap_statistic(aug, np.array([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, 1.0, 1.0]]))
     with pytest.raises(ValueError, match="out of range"):
-        mc_pvalue(cache, 10, RngStream(0))
+        mc_pvalue(aug, 10, RngStream(0))
     with pytest.raises(ValueError, match="out of range"):
-        exact_pvalue(cache)
-    # rows that are not finite give NaN values, refused the same way
-    monkeypatch.undo()
-    cache = GramCache(original=np.array([[1.0], [np.nan], [0.5]]), variant=np.ones((3, 1)))
+        exact_pvalue(aug)
+    # a NaN tile gives NaN values, refused the same way (AugmentedSample
+    # itself refuses rows that are not finite)
+    monkeypatch.setattr(core, "gram_tile", tile_of(np.nan))
     with pytest.raises(ValueError, match=r"out of range \[-2, 2\]: nan"):
-        mc_pvalue(cache, 10, RngStream(0))
+        mc_pvalue(aug, 10, RngStream(0))
 
 
 def test_exact_pvalue_floor_from_swap_symmetry():
-    _, cache = _random_cache(6, n=2)
-    out = exact_pvalue(cache)
+    aug = _random_aug(6, n=2)
+    out = exact_pvalue(aug)
     assert out.p_value >= 0.5
     for seed in range(3):
-        _, cache = _random_cache(seed + 10, n=7)
-        out = exact_pvalue(cache)
+        aug = _random_aug(seed + 10, n=7)
+        out = exact_pvalue(aug)
         assert out.p_value >= 2.0 ** (1 - 7)
 
 
 def test_exact_pvalue_matches_naive_enumeration():
-    aug, cache = _random_cache(7, n=8)
-    out = exact_pvalue(cache)
+    aug = _random_aug(7, n=8)
+    out = exact_pvalue(aug)
     assert out.p_value == pytest.approx(
         naive_exact_pvalue(aug.original.data, aug.variant), abs=1e-12
     )
@@ -126,20 +124,20 @@ def test_exact_pvalue_matches_naive_enumeration():
 
 
 def test_exact_pvalue_refuses_large_n():
-    _, cache = _random_cache(8, n=ENUM_LIMIT + 1)
+    aug = _random_aug(8, n=ENUM_LIMIT + 1)
     with pytest.raises(ValueError, match=f"n <= {ENUM_LIMIT} "):
-        exact_pvalue(cache)
+        exact_pvalue(aug)
 
 
-def _structured_cache(seed, n, d, rows):
-    """Cache whose data has structural ties: repeated rows or a zero row."""
+def _structured_aug(seed, n, d, rows):
+    """Augmented sample whose data has structural ties: repeated rows or a zero row."""
     x = np.random.default_rng(seed).standard_normal((n, d))
     if rows == "repeated":
         x[1] = x[0]
         x[n - 1] = x[0]
     else:
         x[n // 2] = 0.0
-    return build_gram(augment(Sample(x), RngStream(seed, (1,))))
+    return augment(Sample(x), RngStream(seed, (1,)))
 
 
 _EXACT_CASES = [(n, d, None) for n in (2, 3, 5, 8, 11, 16) for d in (1, 2, 10)] + [
@@ -149,8 +147,8 @@ _EXACT_CASES = [(n, d, None) for n in (2, 3, 5, 8, 11, 16) for d in (1, 2, 10)] 
 
 @pytest.mark.parametrize("seed, n, d, rows", [(40 + i, *case) for i, case in enumerate(_EXACT_CASES)])
 def test_exact_pvalue_equals_direct_enumeration(seed, n, d, rows):
-    cache = _random_cache(seed, n=n, d=d)[1] if rows is None else _structured_cache(seed, n, d, rows)
-    assert exact_pvalue(cache).p_value == direct_exact_pvalue(cache)
+    aug = _random_aug(seed, n=n, d=d) if rows is None else _structured_aug(seed, n, d, rows)
+    assert exact_pvalue(aug).p_value == direct_exact_pvalue(aug)
 
 
 @pytest.mark.parametrize("k", [0, 1, 4, 7])
@@ -177,20 +175,20 @@ def _record_tiles(monkeypatch):
 
 
 def test_exact_pvalue_independent_of_tile_budget(monkeypatch):
-    _, cache = _random_cache(16, n=16, d=2)
-    want = exact_pvalue(cache).p_value
+    aug = _random_aug(16, n=16, d=2)
+    want = exact_pvalue(aug).p_value
     monkeypatch.setattr(calibrate, "_TILE_BYTES", 4096)
     shapes = _record_tiles(monkeypatch)
-    assert exact_pvalue(cache).p_value == want
+    assert exact_pvalue(aug).p_value == want
     assert len(shapes) > 1
     assert all(9 * r * c <= 4096 for r, c in shapes)
     assert sum(r * c for r, c in shapes) == 1 << 15
 
 
 def test_exact_pvalue_at_enum_limit_within_tile_budget(monkeypatch):
-    _, cache = _random_cache(17, n=ENUM_LIMIT, d=10)
+    aug = _random_aug(17, n=ENUM_LIMIT, d=10)
     shapes = _record_tiles(monkeypatch)
-    out = exact_pvalue(cache)
+    out = exact_pvalue(aug)
     assert all(9 * r * c <= calibrate._TILE_BYTES for r, c in shapes)
     assert sum(r * c for r, c in shapes) == 1 << (ENUM_LIMIT - 1)
     k = out.p_value * (1 << ENUM_LIMIT)
@@ -198,9 +196,9 @@ def test_exact_pvalue_at_enum_limit_within_tile_budget(monkeypatch):
 
 
 def test_mc_pvalue_bounds_and_grid():
-    _, cache = _random_cache(9)
+    aug = _random_aug(9)
     B = 37
-    out = mc_pvalue(cache, B, RngStream(1))
+    out = mc_pvalue(aug, B, RngStream(1))
     assert 1.0 / (B + 1) <= out.p_value <= 1.0
     k = round(out.p_value * (B + 1))
     assert out.p_value == pytest.approx(k / (B + 1), abs=1e-15)
@@ -209,8 +207,7 @@ def test_mc_pvalue_bounds_and_grid():
 def test_mc_pvalue_is_one_for_degenerate_pairs():
     data = np.random.default_rng(10).standard_normal((6, 2))
     aug = AugmentedSample(original=Sample(data), variant=data.copy())
-    cache = build_gram(aug)
-    out = mc_pvalue(cache, 100, RngStream(2))
+    out = mc_pvalue(aug, 100, RngStream(2))
     assert out.p_value == 1.0
 
 
@@ -224,37 +221,37 @@ def test_draw_signs_are_the_mask_stream_as_signs():
 
 
 def test_mc_pvalue_deterministic_and_validates_B():
-    _, cache = _random_cache(11)
-    a = mc_pvalue(cache, 50, RngStream(5))
-    b = mc_pvalue(cache, 50, RngStream(5))
+    aug = _random_aug(11)
+    a = mc_pvalue(aug, 50, RngStream(5))
+    b = mc_pvalue(aug, 50, RngStream(5))
     assert a == b
     with pytest.raises(ValueError):
-        mc_pvalue(cache, 0, RngStream(5))
+        mc_pvalue(aug, 0, RngStream(5))
 
 
 def test_mc_pvalue_monotone_in_statistic():
     # with the resample pool held fixed, a larger observed value can only
     # lower the exceedance count
-    _, cache = _random_cache(12, n=15)
+    aug = _random_aug(12, n=15)
     from spheresym.calibrate import _draw_signs
 
-    values = swap_statistic(cache, _draw_signs(15, 200, RngStream(6)))
+    values = swap_statistic(aug, _draw_signs(15, 200, RngStream(6)))
     stats = np.sort(values)[[20, 100, 180]]
     ps = [(int((values >= s).sum()) + 1) / 201 for s in stats]
     assert ps[0] >= ps[1] >= ps[2]
 
 
 def test_critical_value_quantile_and_bound():
-    _, cache = _random_cache(13, n=21)
+    aug = _random_aug(13, n=21)
     from spheresym.calibrate import _draw_signs
 
-    values = swap_statistic(cache, _draw_signs(21, 400, RngStream(7)))
-    got = critical_value(cache, 0.05, 400, RngStream(7))
+    values = swap_statistic(aug, _draw_signs(21, 400, RngStream(7)))
+    got = critical_value(aug, 0.05, 400, RngStream(7))
     rank = math.ceil(400 * 0.95) - 1
     assert got == np.sort(values)[rank]
     assert got <= cutoff_bound(21, 0.05)
     # alpha -> 1 returns the smallest resampled value
-    assert critical_value(cache, 0.999, 400, RngStream(7)) == values.min()
+    assert critical_value(aug, 0.999, 400, RngStream(7)) == values.min()
 
 
 def test_cutoff_bound_example():
@@ -279,6 +276,27 @@ def test_run_test_exact_mode():
     assert out.p_value >= 2.0 ** (1 - 8)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, math.nan, 1.5])
+def test_bad_alpha_is_refused_before_any_centering_drawing_or_enumeration(monkeypatch, alpha):
+    aug = _random_aug(18, n=6)
+
+    def work(*args, **kwargs):
+        raise AssertionError("work started before alpha was checked")
+
+    for name in ("center", "augment", "_draw_signs", "resample_plan", "one_tile", "swap_values"):
+        monkeypatch.setattr(calibrate, name, work)
+    calls = [
+        lambda: run_test(aug.original, RngStream(0), alpha=alpha),
+        lambda: run_test(aug.original, RngStream(0), alpha=alpha, exact=True),
+        lambda: mc_pvalue(aug, 10, RngStream(0), alpha=alpha),
+        lambda: exact_pvalue(aug, alpha=alpha),
+        lambda: critical_value(aug, alpha, 10, RngStream(0)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+            call()
+
+
 def test_run_test_rejects_single_row():
     with pytest.raises(ValueError):
         run_test(Sample(np.zeros((1, 2))), RngStream(0))
@@ -288,11 +306,11 @@ def test_observed_statistic_ties_with_identity_mask():
     # guards the tie-counting convention: the enumeration must always count
     # the identity and the full swap
     for seed in range(5):
-        aug, cache = _random_cache(seed + 30, n=9)
-        obs = swap_statistic(cache, np.ones(9))
-        ones = swap_statistic(cache, np.ones((1, 9)))[0]
-        zeros = swap_statistic(cache, -np.ones((1, 9)))[0]
+        aug = _random_aug(seed + 30, n=9)
+        obs = swap_statistic(aug, np.ones(9))
+        ones = swap_statistic(aug, np.ones((1, 9)))[0]
+        zeros = swap_statistic(aug, -np.ones((1, 9)))[0]
         assert obs == ones == zeros
-        assert obs == zeta_hat(aug, cache).value
-        g = core.gram_tile(cache, slice(0, 9), slice(0, 9))
+        assert obs == core.swap_values(aug)[0]
+        g = core.gram_tile(aug, slice(0, 9), slice(0, 9))
         assert obs == pytest.approx(float(g.sum()) / (9 * 8), abs=1e-14)
