@@ -11,21 +11,25 @@ dimension d; there is no user-tunable bandwidth.
 The observed statistic and every swap resample are signed quadratic forms
 s^T G s / (n (n-1)) in the n x n matrix G of pair values g_ij (zero
 diagonal), read from the :class:`AugmentedSample` itself, and no code
-holds G.  :func:`swap_values` splits it into square tiles of ``TILE`` rows
-and, for each upper tile pair (I, J), J >= I, builds the tile G_IJ
-(:func:`gram_tile`), takes its share s_I^T G_IJ s_J of every form (doubled
-off the diagonal) and drops it.  The tile pairs run through
-``threads.fan_out`` on as many threads as numpy's BLAS is set to use, with
-BLAS held at one thread while more than one runs, and their shares are
-summed in pair order, so past one tile the values are the same bit for bit
-on any thread count (a one-tile pass runs its product on BLAS's own
-threads).  Besides the B x n signs and B + 1 shares per tile pair, a pass
-needs per thread one tile of G and one scratch buffer for its kernel blocks
-and its B-row product: O(B n) memory in all.  Each upper tile is evaluated
-once per pass, for the observed value and all B resamples together, and
-every tile is bit for bit the block of the matrix a full 2n x 2n kernel
-matrix over the stacked rows would give (``tests/oracles.py`` keeps that
-construction).
+holds G.  :func:`swap_values` splits it into square tiles of ``TILE`` rows.
+Each upper tile pair (I, J), J > I, is one block; each diagonal tile is
+the upper pairs of its sub-blocks of ``BLOCK`` rows, since only one
+triangle of G carries information.  For each block the pass builds that
+block of G (:func:`gram_tile`), takes its share s_R^T G_RC s_C of every
+form (doubled off the diagonal) and drops it.  The upper tile pairs, each
+with its blocks, run through ``threads.fan_out`` on as many threads as
+numpy's BLAS is set to use, with BLAS held at one thread while more than
+one runs, and the shares are summed in block order, so past one tile the
+values are the same bit for bit on any thread count (a one-tile pass runs
+its products on BLAS's own threads).  Besides the B x n signs and B + 1
+shares per block, a pass needs per thread one buffer for the largest block
+of G and one scratch buffer for its kernel blocks and its B-row product:
+O(B n) memory in all.  Each off-diagonal tile pair is evaluated once per
+pass, and each diagonal tile in upper 128-row blocks (``BLOCK``), for the
+observed value and all B resamples together: about 2 n^2 + 128 n kernel
+entries and B (n^2 + 128 n) form flops per pass.  Every block is bit for
+bit the block of the matrix a full 2n x 2n kernel matrix over the stacked
+rows would give (``tests/oracles.py`` keeps that construction).
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ from scipy.spatial.distance import cdist
 
 from .threads import blas_threads, fan_out, thread_limit
 
-TILE = 512  # rows per Gram tile; at n <= TILE, G is one diagonal tile
+TILE = 512  # rows per Gram tile, one fan-out task per upper tile pair; at n <= TILE, one task
+BLOCK = 128  # rows per block of a diagonal tile, which is built as its upper blocks
 
 
 @dataclass(frozen=True)
@@ -76,8 +81,9 @@ class AugmentedSample:
     """Pairs (X_i, X'_i) where X'_i = ||X_i|| U_i lies on the same sphere shell.
 
     Every statistic and p-value is computed from this object.  Entries of
-    ``variant`` must be finite, and its row norms match those of
-    ``original`` (zero rows map to zero rows).  Construction lives in
+    ``variant`` must be finite, the row norms of both must be finite in
+    float64, and the variant's match the original's (zero rows map to zero
+    rows).  Construction lives in
     :func:`spheresym.augment.augment`.
     """
 
@@ -92,8 +98,15 @@ class AugmentedSample:
             )
         if not np.isfinite(variant).all():
             raise ValueError("variant contains NaN or Inf")
-        norm_o = np.linalg.norm(self.original.data, axis=1)
-        norm_v = np.linalg.norm(variant, axis=1)
+        with np.errstate(over="ignore"):
+            norm_o = np.linalg.norm(self.original.data, axis=1)
+            norm_v = np.linalg.norm(variant, axis=1)
+        # two overflowed norms would compare equal and let overflowed distances through
+        if not (np.isfinite(norm_o).all() and np.isfinite(norm_v).all()):
+            raise ValueError(
+                "row norms overflow float64 (data too large in magnitude); "
+                "rescale the data, e.g. divide by its largest absolute entry"
+            )
         if not np.allclose(norm_v, norm_o, rtol=1e-9, atol=1e-300):
             raise ValueError("variant row norms do not match original row norms")
         object.__setattr__(self, "variant", variant)
@@ -135,9 +148,10 @@ def gram_tile(aug: AugmentedSample, rows: slice, cols: slice, out=None, scratch=
     Every entry is summed as (Kxx + Kx'x') - E_ij - E_ji with E = K(X, X'),
     the kernel blocks evaluated in the flat buffer ``scratch``; both buffers
     need room for the block, and None gives a fresh one.  A diagonal block
-    (rows == cols) evaluates E once and has a zero diagonal.  Squared
-    distances are bit-for-bit symmetric, so any block is bit for bit that of
-    the matrix derived from a full 2n x 2n kernel matrix.
+    (rows == cols) evaluates E once and has a zero diagonal; an off-diagonal
+    one evaluates E_ji as K(X'_rows, X_cols).  Squared distances are bit-for-bit
+    symmetric, so any block is bit for bit that of the matrix derived from a
+    full 2n x 2n kernel matrix.
     """
     x, v, d = aug.original.data, aug.variant, aug.d
     size = len(x[rows]) * len(x[cols])
@@ -151,31 +165,49 @@ def gram_tile(aug: AugmentedSample, rows: slice, cols: slice, out=None, scratch=
         g -= e.T
         np.fill_diagonal(g, 0.0)
     else:
-        g -= _kernel_tile(x[cols], v[rows], d, scratch).T
+        g -= _kernel_tile(v[rows], x[cols], d, scratch)
     return g
 
 
-def resample_plan(n: int, B: int):
-    """Tile size, upper tile pairs and thread count of a pass over B sign vectors.
+def _spans(start: int, stop: int, step: int) -> list[slice]:
+    """[start, stop) cut into slices of ``step`` rows, the last one ragged."""
+    return [slice(a, min(a + step, stop)) for a in range(start, stop, step)]
 
-    A pass holds the B x n signs, B + 1 shares per tile pair and, per
-    thread, one tile of G and one scratch buffer for its kernel blocks and
-    its B-row product.  One that would not fit in physical memory is
-    refused; the count uses Python integers only, so a refused size
-    allocates nothing.
+
+def resample_plan(n: int, B: int):
+    """Fan-out tasks, thread count and per-thread buffer sizes of a pass over B sign vectors.
+
+    Each upper tile pair of ``TILE`` rows is one task, a list of blocks
+    (index, rows, cols) numbered in task order: an off-diagonal tile pair
+    is one block, a diagonal tile the upper pairs of its ``BLOCK``-row
+    sub-blocks.  A pass holds the B x n signs, B + 1 shares per block and,
+    per thread, one buffer for the largest block of G and one scratch buffer
+    for its kernel blocks and its B-row product.  One that would not fit in
+    physical memory is refused; the count uses Python integers only, so a
+    refused size allocates nothing.
     """
-    tile = min(TILE, n)
-    starts = range(0, n, tile)
-    pairs = [(slice(r, r + tile), slice(c, c + tile)) for r in starts for c in starts if c >= r]
-    workers = min(blas_threads(), len(pairs))
-    need = 8 * (B * n + len(pairs) * (B + 1) + workers * (tile * tile + max(tile * tile, B * tile)))
+    tiles = _spans(0, n, TILE)
+    groups = []
+    for i, rows in enumerate(tiles):
+        subs = _spans(rows.start, rows.stop, BLOCK)
+        groups.append([(a, b) for k, a in enumerate(subs) for b in subs[k:]])
+        groups.extend([(rows, cols)] for cols in tiles[i + 1:])
+    tasks, blocks = [], 0
+    for group in groups:
+        tasks.append([(blocks + k, rows, cols) for k, (rows, cols) in enumerate(group)])
+        blocks += len(group)
+    area = max((r.stop - r.start) * (c.stop - c.start) for group in groups for r, c in group)
+    width = max(c.stop - c.start for group in groups for _, c in group)
+    sizes = (area, max(area, B * width))
+    workers = min(blas_threads(), len(tasks))
+    need = 8 * (B * n + blocks * (B + 1) + workers * sum(sizes))
     memory = _physical_memory_bytes()
     if memory is not None and need > memory:
         raise ValueError(
             f"resampling n = {n} pairs with B = {B} sign vectors needs about {need} bytes, "
             f"more than the {memory} bytes of physical memory"
         )
-    return tile, pairs, workers
+    return tasks, workers, sizes
 
 
 def _forms(left: np.ndarray, g: np.ndarray, right: np.ndarray, out: np.ndarray, product) -> None:
@@ -183,11 +215,11 @@ def _forms(left: np.ndarray, g: np.ndarray, right: np.ndarray, out: np.ndarray, 
     np.einsum("ij,ij->i", np.matmul(left, g, out=product), right, out=out)
 
 
-def _tile_shares(aug, rows, cols, signs, ones, shares, out, scratch) -> np.ndarray:
-    """Build G's tile (rows, cols) and write its share of every form to ``shares``; return the tile.
+def _block_shares(aug, rows, cols, signs, ones, shares, out, scratch) -> np.ndarray:
+    """Build G's block (rows, cols) and write its share of every form to ``shares``; return the block.
 
     ``shares`` gets the all-ones form first, then one value per row of
-    ``signs``, doubled off the diagonal for the mirror tile (cols, rows).
+    ``signs``, doubled off the diagonal for the mirror block (cols, rows).
     """
     g = gram_tile(aug, rows, cols, out, scratch)
     c = g.shape[1]
@@ -200,11 +232,11 @@ def _tile_shares(aug, rows, cols, signs, ones, shares, out, scratch) -> np.ndarr
 
 
 def _statistics(shares: np.ndarray, n: int) -> np.ndarray:
-    """The rows of ``shares`` summed in pair order, over n (n - 1); a value outside [-2, 2] is refused."""
+    """The rows of ``shares`` summed in block order, over n (n - 1); a value outside [-2, 2] is refused."""
     if n < 2:
         raise ValueError("statistic needs at least two observations")
     values = shares[0].copy()
-    for row in shares[1:]:  # in pair order; sum(axis=0) sums one column pairwise
+    for row in shares[1:]:  # in block order; sum(axis=0) sums one column pairwise
         values += row
     values /= n * (n - 1)
     if not (np.abs(values) <= 2.0 + 1e-12).all():
@@ -216,42 +248,42 @@ def swap_values(aug: AugmentedSample, signs: np.ndarray | None = None) -> np.nda
     """The observed statistic, then s^T G s / (n (n-1)) for each row s of ``signs``, in one pass.
 
     ``signs`` is a (B, n) array of +1/-1 entries, which are not checked here
-    (:func:`swap_statistic` checks them); None stands for B = 0.  Each tile
-    pair's shares, the all-ones form first, go to its own row of a
-    (pairs x (B + 1)) array, summed in pair order.  While more than one
+    (:func:`swap_statistic` checks them); None stands for B = 0.  Each
+    block's shares, the all-ones form first, go to its own row of a
+    (blocks x (B + 1)) array, summed in block order.  While more than one
     thread builds tiles, BLAS is held at one thread.  A value outside
     [-2, 2] is refused.
     """
     n = aug.n
     s = np.empty((0, n)) if signs is None else signs
     B = len(s)
-    tile, pairs, workers = resample_plan(n, B)
+    tasks, workers, sizes = resample_plan(n, B)
     ones = np.ones((1, n))
-    shares = np.empty((len(pairs), B + 1))
+    shares = np.empty((sum(map(len, tasks)), B + 1))
     # Allocated on the calling thread: allocating them in the pool threads
     # cost 2.5% of the build's speed and 7 MB of peak RSS at n = 2000.
-    buffers = [(np.empty(tile * tile), np.empty(max(tile * tile, B * tile))) for _ in range(workers)]
+    buffers = [tuple(np.empty(size) for size in sizes) for _ in range(workers)]
 
     def share(bufs, task):
-        p, (rows, cols) = task
-        _tile_shares(aug, rows, cols, s, ones, shares[p], *bufs)
+        for b, rows, cols in task:
+            _block_shares(aug, rows, cols, s, ones, shares[b], *bufs)
 
     hold = thread_limit(1) if workers > 1 else None
     with hold or contextlib.nullcontext():
-        fan_out(share, list(enumerate(pairs)), buffers)
+        fan_out(share, tasks, buffers)
     return _statistics(shares, n)
 
 
 def one_tile(aug: AugmentedSample) -> tuple[np.ndarray, float]:
-    """G built as one tile, and the observed statistic with the bits :func:`swap_values` gives at n <= TILE.
+    """G built as one tile, and the observed statistic with the bits :func:`swap_values` gives at n <= BLOCK.
 
     For small samples that need G itself (the exact enumeration).
     """
     n = aug.n
     whole = slice(0, n)
     shares = np.empty((1, 1))
-    g = _tile_shares(aug, whole, whole, np.empty((0, n)), np.ones((1, n)), shares[0],
-                     np.empty(n * n), np.empty(n * n))
+    g = _block_shares(aug, whole, whole, np.empty((0, n)), np.ones((1, n)), shares[0],
+                      np.empty(n * n), np.empty(n * n))
     return g, float(_statistics(shares, n)[0])
 
 

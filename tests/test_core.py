@@ -1,6 +1,7 @@
 import contextlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,17 @@ def test_augmented_sample_refuses_a_variant_that_is_not_finite(bad):
     s = Sample(np.array([[1e200, 1e200], [1.0, 0.0]]))
     with pytest.raises(ValueError, match="variant contains NaN or Inf"):
         AugmentedSample(original=s, variant=np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+def test_augmented_sample_refuses_rows_whose_norms_overflow():
+    # both rows' norms overflow to inf and would pass the norm comparison;
+    # the kernel tiles' squared distances would overflow with them
+    s = Sample(np.array([[1e200, 1e200], [1.0, 0.0], [0.0, 2.0]]))
+    variant = np.array([[2e200, 2e200], [0.0, 1.0], [2.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow.*rescale"):
+            AugmentedSample(original=s, variant=variant)
 
 
 def test_gram_tile_of_a_single_row_is_zero():
@@ -266,16 +278,21 @@ def test_memory_guard_counts_the_tiled_pass(monkeypatch):
     aug = augment(Sample(np.random.default_rng(9).standard_normal((10, 2))), RngStream(9))
     monkeypatch.setattr(core, "TILE", 4)  # three tiles, six tile pairs
     monkeypatch.setattr(core, "blas_threads", lambda: 2)
-    # signs, six pairs' B + 1 shares, two threads' tile (4 x 4) and scratch (B x 4)
-    need = 8 * (5 * 10 + 6 * 6 + 2 * (4 * 4 + 5 * 4))
-    monkeypatch.setattr(core, "_physical_memory_bytes", lambda: need - 1)
-    with pytest.raises(ValueError, match=f"n = 10 pairs with B = 5 sign vectors needs about {need} bytes"):
-        calibrate.mc_pvalue(aug, 5, RngStream(3))
-    monkeypatch.setattr(core, "_physical_memory_bytes", lambda: need)
     signs = _signs(10, 5)
     g = g_from_kernel_matrix(dense_kernel_matrix(aug.original.data, aug.variant))
     want = np.einsum("ij,ij->i", signs @ g, signs) / 90
-    np.testing.assert_allclose(core.swap_values(aug, signs)[1:], want, rtol=0, atol=1e-15)
+    # blocks of 128 rows leave each diagonal tile one block: six blocks; blocks
+    # of 2 rows split tiles 0:4 and 4:8 into three upper blocks each: ten blocks
+    for block, blocks in ((128, 6), (2, 10)):
+        monkeypatch.setattr(core, "BLOCK", block)
+        # signs, one row of B + 1 shares per block, two threads' largest block
+        # (an off-diagonal 4 x 4) and scratch (B x 4)
+        need = 8 * (5 * 10 + blocks * 6 + 2 * (4 * 4 + 5 * 4))
+        monkeypatch.setattr(core, "_physical_memory_bytes", lambda: need - 1)
+        with pytest.raises(ValueError, match=f"n = 10 pairs with B = 5 sign vectors needs about {need} bytes"):
+            calibrate.mc_pvalue(aug, 5, RngStream(3))
+        monkeypatch.setattr(core, "_physical_memory_bytes", lambda: need)
+        np.testing.assert_allclose(core.swap_values(aug, signs)[1:], want, rtol=0, atol=1e-15)
 
 
 def test_resampling_refuses_a_huge_B_without_allocating(monkeypatch):
@@ -295,19 +312,53 @@ def test_resampling_refuses_a_huge_B_without_allocating(monkeypatch):
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("n", [10, 13])  # 13: a ragged last tile
+@pytest.mark.parametrize("n", [10, 13, 21])  # 13, 21: a ragged last tile
 def test_swap_values_same_bits_on_one_and_two_workers(monkeypatch, n):
     aug = augment(Sample(np.random.default_rng(n).standard_normal((n, 3))), RngStream(n))
-    monkeypatch.setattr(core, "TILE", 4)
     signs = _signs(n, 33)
-    values = []
-    for workers in (1, 2):
-        monkeypatch.setattr(core, "blas_threads", lambda: workers)
-        values.append(core.swap_values(aug, signs))
-    assert np.array_equal(values[0], values[1])
+    g = g_from_kernel_matrix(dense_kernel_matrix(aug.original.data, aug.variant))
+    want = np.einsum("ij,ij->i", signs @ g, signs) / (n * (n - 1))
+    # whole diagonal tiles, then diagonal tiles split into blocks of 2 rows
+    for tile, block in ((4, core.BLOCK), (8, 2)):
+        monkeypatch.setattr(core, "TILE", tile)
+        monkeypatch.setattr(core, "BLOCK", block)
+        values = []
+        for workers in (1, 2):
+            monkeypatch.setattr(core, "blas_threads", lambda: workers)
+            values.append(core.swap_values(aug, signs))
+        assert np.array_equal(values[0], values[1])
+        np.testing.assert_allclose(values[0][1:], want, rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("n, tile", [(13, 4), (40, 512), (1100, 512)])
+@pytest.mark.parametrize("n", [100, 500, 1100])
+def test_a_pass_builds_only_the_upper_blocks_of_each_diagonal_tile(monkeypatch, n):
+    aug = _tiled_aug(n=n, d=3)
+    B = 3
+    count = {"entries": 0, "flops": 0}
+    kernel, forms = core._kernel_tile, core._forms
+
+    def counted_kernel(a, b, d, buf):
+        count["entries"] += len(a) * len(b)
+        return kernel(a, b, d, buf)
+
+    def counted_forms(left, g, right, out, product):
+        count["flops"] += len(left) * g.size
+        return forms(left, g, right, out, product)
+
+    monkeypatch.setattr(core, "_kernel_tile", counted_kernel)
+    monkeypatch.setattr(core, "_forms", counted_forms)
+    core.swap_values(aug, _signs(n, B))
+    entries, area = count["entries"], count["flops"] // (B + 1)  # the all-ones form and B signed ones
+    assert count["flops"] == (B + 1) * area
+    assert entries <= 2 * n * n + core.BLOCK * n
+    assert area <= (n * n + core.BLOCK * n) // 2
+    # one 128-row block: the whole tile, E once; four blocks of 128, 128, 128, 116 rows
+    want = {100: (3 * n * n, n * n), 500: (562_608, 156_304)}
+    if n in want:
+        assert (entries, area) == want[n]
+
+
+@pytest.mark.parametrize("n, tile", [(13, 4), (40, 512), (129, 512), (300, 512), (500, 512), (1100, 512)])
 def test_swap_values_match_the_dense_quadratic_forms(monkeypatch, n, tile):
     aug = augment(Sample(np.random.default_rng([n, 2]).standard_normal((n, 4))), RngStream(n, (2,)))
     monkeypatch.setattr(core, "TILE", tile)

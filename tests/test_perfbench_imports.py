@@ -2,10 +2,12 @@
 
 ``perfbench/workloads.py`` imports public spheresym names; loading it here
 turns a removed or renamed name into a test failure instead of a failed
-benchmark run.  The reference gates of the oracle workload and of one
-seed-0 ``cli_large`` and one seed-0 ``exact`` op run here too, so an
-estimate that drifts from ``perfbench/reference.json``, or a summation-order
-change that flips a p-value, fails the tests, not the benchmark.  One op of
+benchmark run.  The reference gates of the oracle workload, of the seed-0
+``study`` ops at n = 250 and 500 (more than one 128-row block) over the
+whole input pool, and of one seed-0 ``cli_large`` and one seed-0 ``exact``
+op run here too, so an estimate that drifts from ``perfbench/reference.json``,
+or a summation-order change that flips a p-value or a decision, fails the
+tests, not the benchmark.  One op of
 each workload also runs its ``traced`` composition against its untraced
 call, as the benchmark's trace mode does, so the public calls that only the
 traced rounds make are run here too.  The files are loaded by path and not
@@ -38,8 +40,18 @@ def test_oracle_workload_passes_its_reference_gate(monkeypatch, tmp_path):
     module = _load(monkeypatch, "workloads")
     refs = json.loads((PERFBENCH / "reference.json").read_text())["oracle"]
     wl = module.Oracle(module.DEFAULT_SEED, str(tmp_path))
-    ops = [op for op in wl.round_ops(0) if op.kind.startswith("gaussian_zeta")]
-    assert len(ops) == len(module.Oracle.DIMS)
+    ops = wl.round_ops(0)
+    assert [op.kind for op in ops] == [f"gaussian_zeta,d={d}" for d in module.Oracle.DIMS] + ["mc_zeta"]
+    for op in ops:
+        wl.check(op, wl.result(op, wl.invoke(op)), refs[op.key])
+
+
+def test_study_ops_of_several_blocks_pass_their_reference_gates(monkeypatch, tmp_path):
+    module = _load(monkeypatch, "workloads")
+    refs = json.loads((PERFBENCH / "reference.json").read_text())["study"]
+    wl = module.Study(module.DEFAULT_SEED, str(tmp_path))
+    ops = [op for r in range(wl.pool) for op in wl.round_ops(r) if op.kind in ("n=250", "n=500")]
+    assert len(ops) == 2 * wl.pool
     for op in ops:
         wl.check(op, wl.result(op, wl.invoke(op)), refs[op.key])
 
