@@ -14,10 +14,10 @@ The Haar draws run in blocks of consecutive rows through ``threads.fan_out``,
 as the resampling pass's tile pairs do, on as many threads as numpy's BLAS is set to
 use, so ``--threads`` caps them too.  Each task draws the normals of the next
 block under one lock, so block after block takes the stream in order and the
-seed fixes every draw; outside the lock it runs the block's QR, sign fix,
-conjugation and log-determinants, which act matrix by matrix, while another
-thread draws.  The estimate and its standard error are bit-identical for any
-thread count.
+seed fixes every draw; outside the lock it runs the block's Gram-Schmidt,
+conjugation and Cholesky factors while another thread draws.  Gram-Schmidt
+and Cholesky run over the whole block at once, with the batch axis innermost.
+The estimate and its standard error are bit-identical for any thread count.
 
 A generic large-sample Monte Carlo estimate (``mc_zeta``) is also provided,
 exploiting unbiasedness of the pairwise statistic.
@@ -37,7 +37,7 @@ from .rng import RngStream
 from .threads import blas_threads, fan_out
 
 _HAAR_CHUNK = 20_000
-# Rows drawn and reduced per thread task; keeps QR's temporaries to a few MB at d = 10.
+# Rows drawn and reduced per thread task; keeps a block's temporaries to a few MB at d = 10.
 _HAAR_BLOCK = 2_000
 
 
@@ -53,6 +53,8 @@ class CovSpec:
             raise ValueError(f"covariance must be square, got shape {sigma.shape}")
         if sigma.shape[0] < 1:
             raise ValueError("covariance must be at least 1 x 1")
+        if not np.isfinite(sigma).all():
+            raise ValueError("covariance entries must be finite")
         if not np.allclose(sigma, sigma.T, atol=1e-12, rtol=0):
             raise ValueError("covariance must be symmetric")
         if np.linalg.eigvalsh(sigma).min() < -1e-10:
@@ -90,7 +92,10 @@ def gaussian_pair_term(sigma1: CovSpec, sigma2: CovSpec, d: int) -> float:
     """
     if sigma1.d != d or sigma2.d != d:
         raise ValueError("covariance dimensions do not match d")
-    m = (sigma1.sigma + sigma2.sigma) / d + np.eye(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = (sigma1.sigma + sigma2.sigma) / d + np.eye(d)
+    if not np.isfinite(m).all():
+        raise ValueError("entries of (Sigma1 + Sigma2)/d + I overflow float64; rescale the covariance")
     sign, logdet = np.linalg.slogdet(m)
     if sign <= 0:
         raise ValueError("determinant not positive; inputs not PSD?")
@@ -98,13 +103,22 @@ def gaussian_pair_term(sigma1: CovSpec, sigma2: CovSpec, d: int) -> float:
 
 
 def _haar_from_normals(a: np.ndarray) -> np.ndarray:
-    """Haar orthogonal matrices from a batch of standard normal ones (QR, sign fix)."""
-    q, r = np.linalg.qr(a)
-    # Mezzadri's fix: make R's diagonal positive so that Q is Haar distributed.
-    signs = np.sign(np.einsum("mii->mi", r))
-    signs[signs == 0] = 1.0
-    q *= signs[:, None, :]
-    return q
+    """Haar orthogonal matrices from a batch of standard normal ones.
+
+    Each Q is the Q factor of a's QR decomposition with R's diagonal positive,
+    which is Haar distributed (Mezzadri, Notices AMS 2007).  Gram-Schmidt's R
+    has a positive diagonal by construction, and classical Gram-Schmidt run
+    twice per column (CGS2) keeps Q orthogonal to machine precision (Giraud
+    et al., Numer. Math. 2005).  The columns are laid out as (column, row,
+    batch), so every step is one numpy operation over the whole batch.
+    """
+    cols = np.ascontiguousarray(a.transpose(2, 1, 0))
+    for j, v in enumerate(cols):
+        done = cols[:j]
+        for _ in range(2):
+            v -= np.einsum("ik,irk->rk", np.einsum("irk,rk->ik", done, v), done)
+        v /= np.sqrt(np.einsum("rk,rk->k", v, v))
+    return np.ascontiguousarray(cols.transpose(2, 1, 0))
 
 
 def _conjugate(h: np.ndarray, sigma: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -113,17 +127,32 @@ def _conjugate(h: np.ndarray, sigma: np.ndarray, out: np.ndarray | None = None) 
 
 
 def _pair_values(out: np.ndarray, sigma: np.ndarray, s2: np.ndarray, d: int) -> None:
-    """det((Sigma + S2)/d + I)^(-1/2) for each S2 in the batch into ``out``; overwrites ``s2``."""
+    """det((Sigma + S2)/d + I)^(-1/2) for each S2 in the batch into ``out``; overwrites ``s2``.
+
+    Each M = (Sigma + S2)/d + I is symmetric with M >= I, so it has a Cholesky
+    factor L with every L_ii >= 1, and the value is 1 / prod L_ii.  L is built
+    column by column over the whole batch, with the batch axis innermost:
+    ``low[p, i]`` holds L_ip of every matrix.
+    """
     m = np.add(sigma, s2, out=s2)
     m /= d
     m += np.eye(d)
-    _, logdet = np.linalg.slogdet(m)
-    np.exp(-0.5 * logdet, out=out)
+    if not np.isfinite(m).all():
+        raise ValueError("entries of (Sigma + H Sigma H^T)/d + I overflow float64; rescale the covariance")
+    low = np.empty((d, d, len(m)))
+    prod = np.ones(len(m))
+    for j in range(d):
+        col = m[:, j:, j].T - np.einsum("pik,pk->ik", low[:j, j:], low[:j, j])
+        diag = np.sqrt(col[0])
+        np.divide(col, diag, out=low[j, j:])
+        prod *= diag
+    np.divide(1.0, prod, out=out)
 
 
 def is_scalar_identity(sigma: CovSpec, tol: float = 1e-12) -> bool:
-    c = np.trace(sigma.sigma) / sigma.d
-    return float(np.linalg.norm(sigma.sigma - c * np.eye(sigma.d))) < tol
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm reads inf: not scalar
+        c = np.trace(sigma.sigma) / sigma.d
+        return float(np.linalg.norm(sigma.sigma - c * np.eye(sigma.d))) < tol
 
 
 def _chunked_mean_var(values, m: int) -> tuple[float, float]:
@@ -179,8 +208,9 @@ def gaussian_zeta(sigma: CovSpec, d: int, haar: HaarConfig = HaarConfig()) -> tu
             with lock:
                 lo = next(untaken)
                 a = gen.standard_normal((min(_HAAR_BLOCK, k - lo), d, d))
-            conj = _conjugate(_haar_from_normals(a), s, out=a)
-            _pair_values(out[lo:lo + len(a)], s, conj, d)
+            with np.errstate(over="ignore", invalid="ignore"):  # _pair_values refuses an inf M
+                conj = _conjugate(_haar_from_normals(a), s, out=a)
+                _pair_values(out[lo:lo + len(a)], s, conj, d)
 
         fan_out(task, starts, workers)
         return out

@@ -107,6 +107,16 @@ def test_zeta_gaussian_errors(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: --d must be >= 1, got {d}\n"
 
 
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_zeta_gaussian_refuses_non_finite_matrix(tmp_path, capsys, bad):
+    path = tmp_path / "sigma.csv"
+    path.write_text(f"{bad},0\n0,1\n")
+    assert main(["zeta-gaussian", "--sigma", str(path), "--d", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: covariance entries must be finite\n"
+
+
 def test_simulate_command(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(

@@ -1,4 +1,5 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,8 +17,15 @@ from spheresym import (
 )
 from spheresym import oracle, threads
 from spheresym.distributions import Contaminated, Gaussian
-from spheresym.oracle import _chunked_mean_var, _conjugate, _haar_from_normals, is_scalar_identity
+from spheresym.oracle import (
+    _chunked_mean_var,
+    _conjugate,
+    _haar_from_normals,
+    _pair_values,
+    is_scalar_identity,
+)
 from oracles import (
+    _serial_haar,
     einsum_conjugate,
     quadrature_double_2d,
     quadrature_gaussian_zeta_2d,
@@ -40,6 +48,42 @@ def test_covspec_validation():
         CovSpec(np.ones((2, 3)))
     with pytest.raises(ValueError, match="at least 1 x 1"):
         CovSpec(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_covspec_refuses_non_finite_entries(bad):
+    # a NaN used to be refused as "not symmetric", and an inf accepted, with
+    # gaussian_zeta then returning (nan, nan)
+    with pytest.raises(ValueError, match="entries must be finite"):
+        CovSpec(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+# diag(1e308, 1) overflows the determinant term; the second keeps that term
+# finite, but Sigma + H Sigma H^T overflows in the blocks.
+@pytest.mark.parametrize(
+    "sigma", [np.diag([1e308, 1.0]), 8e307 * np.ones((2, 2)) + 1e305 * np.eye(2)], ids=["term", "block"]
+)
+def test_gaussian_zeta_refuses_covariances_that_overflow(sigma):
+    cov = CovSpec(sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow float64; rescale"):
+            gaussian_zeta(cov, 2, HaarConfig(m=4_001, seed=0))
+
+
+def test_pair_term_refuses_overflow():
+    cov = CovSpec(np.diag([1e308, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow float64; rescale"):
+            gaussian_pair_term(cov, cov, 2)
+
+
+def test_gaussian_zeta_finite_at_large_finite_scale():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est, se = gaussian_zeta(CovSpec(np.diag([1e300, 1.0])), 2)
+    assert np.isfinite(est) and est >= 0.0 and np.isfinite(se)
 
 
 def test_pair_term_identity_covariances():
@@ -72,6 +116,51 @@ def test_pair_term_symmetric_and_conjugation_invariant():
     c1 = CovSpec(h @ s1.sigma @ h.T)
     c2 = CovSpec(h @ s2.sigma @ h.T)
     assert gaussian_pair_term(c1, c2, 3) == pytest.approx(gaussian_pair_term(s1, s2, 3), rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 10])
+def test_haar_matches_lapack_qr_with_sign_fix(d):
+    want = _serial_haar(d, 3_000, RngStream(31, (d,)).generator())
+    got = _haar_from_normals(RngStream(31, (d,)).generator().standard_normal((3_000, d, d)))
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def _nearly_parallel_columns(d, cond, k, seed):
+    """k matrices U diag(1, 1/cond, ..., 1/cond) P with P orthogonal and P e1 = 1/sqrt(d).
+
+    Every column is U e1 / sqrt(d) plus O(1/cond): the columns are nearly
+    parallel, and each matrix's condition number is ``cond``.
+    """
+    u = _serial_haar(d, k, np.random.default_rng(seed))
+    w = np.eye(d)[0] - 1.0 / np.sqrt(d)
+    p = np.eye(d) - 2.0 * np.outer(w, w) / (w @ w)  # the reflection swapping e1 and 1/sqrt(d)
+    return u * np.r_[1.0, np.full(d - 1, 1.0 / cond)] @ p
+
+
+@pytest.mark.parametrize("cond", [1e8, 1e12])
+@pytest.mark.parametrize("d", [2, 5, 10])
+def test_haar_map_stays_orthogonal_on_nearly_parallel_columns(d, cond):
+    a = _nearly_parallel_columns(d, cond, 500, 32 + d)
+    assert np.linalg.cond(a) == pytest.approx(np.full(len(a), cond), rel=1e-2)
+    h = _haar_from_normals(a.copy())
+    assert np.abs(h.transpose(0, 2, 1) @ h - np.eye(d)).max() <= 1e-13
+    # Q^T A is R: upper triangular with a positive diagonal, and Q R gives A back.
+    r = h.transpose(0, 2, 1) @ a
+    scale = np.linalg.norm(a, axis=(1, 2))
+    assert (np.abs(np.tril(r, -1)).max(axis=(1, 2)) <= 1e-13 * scale).all()
+    assert (np.einsum("kii->ki", r) > 0).all()
+    assert (np.linalg.norm(a - h @ np.triu(r), axis=(1, 2)) <= 1e-13 * scale).all()
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 10])
+def test_pair_values_match_slogdet(d):
+    sigma = _random_cov(d, 33 + d).sigma
+    conj = _conjugate(_haar(d, 3_000, RngStream(34, (d,))), sigma)
+    _, logdet = np.linalg.slogdet((sigma + conj) / d + np.eye(d))
+    want = np.exp(-0.5 * logdet)
+    got = np.empty(len(conj))
+    _pair_values(got, sigma, conj, d)
+    assert np.abs(got / want - 1.0).max() <= 1e-14
 
 
 def test_haar_orthogonality():
@@ -243,7 +332,7 @@ def test_gaussian_zeta_same_bits_on_one_and_two_threads():
 # Blocks of 7 rows on 4 threads, switching every microsecond: thousands of
 # tasks racing for the draws.  Needs no control of BLAS's thread count.
 @pytest.mark.parametrize("m", [1, 3, 20_001])
-@pytest.mark.parametrize("d", [2, 5])
+@pytest.mark.parametrize("d", [2, 5, 10])
 def test_gaussian_zeta_same_bits_on_one_and_four_workers(monkeypatch, d, m):
     monkeypatch.setattr(oracle, "_HAAR_BLOCK", 7)
     cov = _random_cov(d, 25 + d)
