@@ -30,16 +30,25 @@ observed value and all B resamples together: about 2 n^2 + 128 n kernel
 entries and B (n^2 + 128 n) form flops per pass.  Every block is bit for
 bit the block of the matrix a full 2n x 2n kernel matrix over the stacked
 rows would give (``tests/oracles.py`` keeps that construction).
+
+Squared distances come from scipy's compiled ``cdist_sqeuclidean``, the
+routine that ``scipy.spatial.distance.cdist(a, b, "sqeuclidean", out=...)``
+calls.  It is loaded from its extension file in the installed scipy, not
+through ``scipy.spatial``, whose package init also loads ``scipy.sparse``,
+qhull, the kd-trees and ``transform``: about 0.5 s and 36 MB in every
+process that imports this package (:func:`_load_sqeuclidean`).
 """
 
 from __future__ import annotations
 
 import contextlib
+import importlib.machinery
+import importlib.util
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .threads import blas_threads, fan_out, thread_limit
 
@@ -132,12 +141,61 @@ def _physical_memory_bytes() -> int | None:
     return pages * page_size
 
 
+_DISTANCE_MODULE = "scipy.spatial._distance_pybind"
+
+
+def _distance_extension_path() -> str | None:
+    """The installed scipy's ``spatial/_distance_pybind`` extension file, or None; imports nothing."""
+    scipy = importlib.util.find_spec("scipy")
+    for folder in (scipy.submodule_search_locations or []) if scipy else []:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "spatial", "_distance_pybind" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _load_sqeuclidean():
+    """scipy's compiled ``cdist_sqeuclidean(a, b, out=...)``, without importing ``scipy.spatial``.
+
+    The extension needs only numpy.  It is loaded under its own module name
+    and entered in ``sys.modules``, so a later ``import scipy.spatial`` reuses
+    it, and one that came first is reused here.  Where the file is missing or
+    does not load, the routine is public ``cdist``, which calls the same
+    compiled code and so gives the same bits.
+    """
+    module = sys.modules.get(_DISTANCE_MODULE)
+    path = None if module else _distance_extension_path()
+    if path is not None:
+        loader = importlib.machinery.ExtensionFileLoader(_DISTANCE_MODULE, path)
+        spec = importlib.util.spec_from_loader(_DISTANCE_MODULE, loader)
+        try:
+            module = importlib.util.module_from_spec(spec)
+            loader.exec_module(module)
+        except ImportError:
+            module = None
+        else:
+            sys.modules[_DISTANCE_MODULE] = module
+    routine = getattr(module, "cdist_sqeuclidean", None)
+    if routine is None:
+        from scipy.spatial.distance import cdist
+
+        def routine(a, b, out):
+            return cdist(a, b, "sqeuclidean", out=out)
+
+    return routine
+
+
+_sqeuclidean = _load_sqeuclidean()
+
+
 def _kernel_tile(a: np.ndarray, b: np.ndarray, d: int, buf: np.ndarray) -> np.ndarray:
     """K(a, b), written into the front of the flat buffer ``buf``."""
     out = buf[: len(a) * len(b)].reshape(len(a), len(b))
     # Direct squared differences (not the norm-expansion identity): exact
-    # cancellation for identical rows matters for the g = 0 identities.
-    cdist(a, b, "sqeuclidean", out=out)
+    # cancellation for identical rows matters for the g = 0 identities.  The
+    # routine is public cdist's "sqeuclidean" one, called without its wrapper.
+    _sqeuclidean(a, b, out=out)
     out /= -(2.0 * d)
     return np.exp(out, out=out)
 

@@ -88,7 +88,9 @@ def gaussian_pair_term(sigma1: CovSpec, sigma2: CovSpec, d: int) -> float:
     """E exp(-||X1 - X2||^2 / (2d)) for independent centered Gaussians.
 
     Equals det((Sigma1 + Sigma2)/d + I)^(-1/2), computed through the
-    log-determinant of the symmetric matrix for stability in large d.
+    log-determinant of the symmetric matrix for stability in large d.  A
+    matrix whose entries overflow, or are so large that adding I is lost to
+    rounding, is refused with a ``ValueError`` that asks for a rescale.
     """
     if sigma1.d != d or sigma2.d != d:
         raise ValueError("covariance dimensions do not match d")
@@ -98,7 +100,12 @@ def gaussian_pair_term(sigma1: CovSpec, sigma2: CovSpec, d: int) -> float:
         raise ValueError("entries of (Sigma1 + Sigma2)/d + I overflow float64; rescale the covariance")
     sign, logdet = np.linalg.slogdet(m)
     if sign <= 0:
-        raise ValueError("determinant not positive; inputs not PSD?")
+        # M >= I for PSD inputs, so only rounding makes it singular: beside
+        # entries this large, the added I is lost (8e307 + 1 == 8e307)
+        raise ValueError(
+            "(Sigma1 + Sigma2)/d + I is singular in float64: the identity is lost to rounding "
+            "beside entries this large; rescale the covariance"
+        )
     return float(np.exp(-0.5 * logdet))
 
 

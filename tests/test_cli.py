@@ -117,6 +117,16 @@ def test_zeta_gaussian_refuses_non_finite_matrix(tmp_path, capsys, bad):
     assert captured.err == "error: covariance entries must be finite\n"
 
 
+def test_zeta_gaussian_asks_to_rescale_a_matrix_too_large_to_add_the_identity(tmp_path, capsys):
+    path = tmp_path / "sigma.csv"
+    path.write_text("8e307,8e307\n8e307,8e307\n")
+    # a valid CovSpec that the oracle cannot evaluate: a runtime failure, as an overflow is
+    assert main(["zeta-gaussian", "--sigma", str(path), "--d", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lost to rounding" in captured.err and "rescale the covariance" in captured.err
+
+
 def test_simulate_command(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(

@@ -65,12 +65,12 @@ def test_kernel_dimension_mismatch():
         AugmentedSample(original=Sample(np.zeros((2, 3))), variant=np.zeros((2, 2)))
 
 
-def test_symmetrized_kernel_cancels_for_equal_pairs():
+def test_gram_tile_cancels_for_equal_pairs():
     data = np.random.default_rng(0).standard_normal((20, 4))
     assert np.all(_gram_of_pairs(data, data.copy()) == 0.0)
 
 
-def test_symmetrized_kernel_diagonal_identity():
+def test_gram_tile_pair_value_diagonal_identity():
     # G's diagonal is zeroed, so the identity g((x, x'), (x, x')) = 2 (1 - K(x, x'))
     # is checked on a repeated pair
     rng = np.random.default_rng(1)
@@ -81,14 +81,14 @@ def test_symmetrized_kernel_diagonal_identity():
     assert g >= 0.0
 
 
-def test_symmetrized_kernel_hand_value():
+def test_gram_tile_pair_value_by_hand():
     o, v = _pairs_n2()
     g = _gram_of_pairs(o, v)
     assert g[0, 1] == pytest.approx(G_HAND, abs=1e-12)
     assert g[0, 1] == pytest.approx(-0.4773024, abs=1e-6)
 
 
-def test_symmetrized_kernel_matches_naive():
+def test_gram_tile_matches_naive_pair_values():
     aug = augment(Sample(np.random.default_rng(2).standard_normal((10, 6))), RngStream(2))
     g = _tiled_g(aug)
     pairs = list(zip(aug.original.data, aug.variant))
@@ -483,7 +483,7 @@ def test_zeta_hat_bounded(seed, n, d):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(1, 6))
-def test_symmetrized_kernel_antisymmetry(seed, n, d):
+def test_gram_tile_flips_sign_under_swaps(seed, n, d):
     # swapping pair i flips the sign of row and column i: G -> D G D, D = diag(s)
     aug = augment(Sample(np.random.default_rng(seed).standard_normal((n, d))), RngStream(seed))
     s = np.ones(n)

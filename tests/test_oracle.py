@@ -79,6 +79,21 @@ def test_pair_term_refuses_overflow():
             gaussian_pair_term(cov, cov, 2)
 
 
+# PSD covariances so large that adding I to (Sigma1 + Sigma2)/d is lost to
+# rounding (8e307 + 1 == 8e307), which leaves the matrix exactly singular
+@pytest.mark.parametrize("scale", [1e16, 8e307])
+@pytest.mark.parametrize("entry", ["pair_term", "gaussian_zeta"])
+def test_refuses_covariances_whose_identity_is_lost_to_rounding(entry, scale):
+    cov = CovSpec(scale * np.ones((2, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="lost to rounding beside entries this large; rescale"):
+            if entry == "pair_term":
+                gaussian_pair_term(cov, cov, 2)
+            else:
+                gaussian_zeta(cov, 2, HaarConfig(m=4_001, seed=0))
+
+
 def test_gaussian_zeta_finite_at_large_finite_scale():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
