@@ -122,19 +122,16 @@ def cmd_zeta_gaussian(args) -> int:
     if args.d < 1:
         print(f"error: --d must be >= 1, got {args.d}", file=sys.stderr)
         return 2
-    if args.sigma == "identity":
-        sigma = CovSpec(np.eye(args.d))
-    else:
-        matrix = load_csv_matrix(args.sigma)
-        try:
-            sigma = CovSpec(matrix)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    # a file that cannot be read exits 1; a covariance the oracle refuses exits 2
+    matrix = np.eye(args.d) if args.sigma == "identity" else load_csv_matrix(args.sigma)
+    try:
+        sigma = CovSpec(matrix)
         if sigma.d != args.d:
-            print(f"error: matrix is {sigma.d}x{sigma.d}, expected d={args.d}", file=sys.stderr)
-            return 2
-    estimate, std_error = gaussian_zeta(sigma, args.d, HaarConfig(m=args.haar_m, seed=args.seed))
+            raise ValueError(f"matrix is {sigma.d}x{sigma.d}, expected d={args.d}")
+        estimate, std_error = gaussian_zeta(sigma, args.d, HaarConfig(m=args.haar_m, seed=args.seed))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{estimate:.10g} {std_error:.10g}")
     return 0
 

@@ -105,17 +105,19 @@ class AugmentedSample:
             raise ValueError(
                 f"variant shape {variant.shape} != original shape {self.original.data.shape}"
             )
-        if not np.isfinite(variant).all():
-            raise ValueError("variant contains NaN or Inf")
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             norm_o = np.linalg.norm(self.original.data, axis=1)
             norm_v = np.linalg.norm(variant, axis=1)
-        # two overflowed norms would compare equal and let overflowed distances through
-        if not (np.isfinite(norm_o).all() and np.isfinite(norm_v).all()):
+        # The original's norms first: augment pairs an overflowed one with an
+        # infinite variant row, and the cause to report is the overflow.  An
+        # overflowed variant norm then differs from the finite original one.
+        if not np.isfinite(norm_o).all():
             raise ValueError(
                 "row norms overflow float64 (data too large in magnitude); "
                 "rescale the data, e.g. divide by its largest absolute entry"
             )
+        if not np.isfinite(variant).all():
+            raise ValueError("variant contains NaN or Inf")
         if not np.allclose(norm_v, norm_o, rtol=1e-9, atol=1e-300):
             raise ValueError("variant row norms do not match original row norms")
         object.__setattr__(self, "variant", variant)

@@ -10,14 +10,18 @@ K(H1 X, X~') = K(X, H1^T X~') and H1^T X~' has the law of X~'.  For a
 covariance that is a scalar multiple of the identity, every rotation fixes the
 law and the measure is exactly zero; that case short-circuits.
 
-The Haar draws run in blocks of consecutive rows through ``threads.fan_out``,
-as the resampling pass's tile pairs do, on as many threads as numpy's BLAS is set to
-use, so ``--threads`` caps them too.  Each task draws the normals of the next
-block under one lock, so block after block takes the stream in order and the
-seed fixes every draw; outside the lock it runs the block's Gram-Schmidt,
-conjugation and Cholesky factors while another thread draws.  Gram-Schmidt
-and Cholesky run over the whole block at once, with the batch axis innermost.
-The estimate and its standard error are bit-identical for any thread count.
+The Haar draws run in blocks of consecutive rows through one ``threads.fan_out``
+per call, on as many threads as numpy's BLAS is set to use, so ``--threads``
+caps them too.  Each task draws the normals of the next block under one lock,
+so block after block takes the stream in order and the seed fixes every draw;
+outside the lock it runs the block's Gram-Schmidt, conjugation and Cholesky
+factors (over the whole block at once, batch axis innermost) while another
+thread draws, and reduces the block to its mean and sum of squared
+deviations.  Merged in block order, these give an estimate and standard error
+bit-identical for any thread count.  Both determinant terms come from one
+batched Cholesky routine, the exact term as a batch of one; a matrix that
+overflows float64 or loses its identity to rounding is refused with a
+``ValueError`` that asks for a rescale.
 
 A generic large-sample Monte Carlo estimate (``mc_zeta``) is also provided,
 exploiting unbiasedness of the pairwise statistic.
@@ -36,9 +40,9 @@ from .core import swap_values
 from .rng import RngStream
 from .threads import blas_threads, fan_out
 
-_HAAR_CHUNK = 20_000
 # Rows drawn and reduced per thread task; keeps a block's temporaries to a few MB at d = 10.
 _HAAR_BLOCK = 2_000
+_LOST = "the identity is lost to rounding beside entries this large; rescale the covariance"
 
 
 @dataclass(frozen=True)
@@ -87,26 +91,24 @@ class HaarConfig:
 def gaussian_pair_term(sigma1: CovSpec, sigma2: CovSpec, d: int) -> float:
     """E exp(-||X1 - X2||^2 / (2d)) for independent centered Gaussians.
 
-    Equals det((Sigma1 + Sigma2)/d + I)^(-1/2), computed through the
-    log-determinant of the symmetric matrix for stability in large d.  A
-    matrix whose entries overflow, or are so large that adding I is lost to
-    rounding, is refused with a ``ValueError`` that asks for a rescale.
+    Equals det(M)^(-1/2) with M = (Sigma1 + Sigma2)/d + I, taken from
+    ``_pair_values`` as a batch of one.  Cholesky's error is bounded through
+    the condition number of M scaled to a unit diagonal, so M is refused with
+    a ``ValueError`` that asks for a rescale when d eps cond(D^-1/2 M D^-1/2)
+    > 1e-6, D = diag(M): 8.9e-4 at 1e12 * ones((2, 2)), where the added I is
+    partly lost.  Only this matrix is checked, not each Haar draw.
     """
     if sigma1.d != d or sigma2.d != d:
         raise ValueError("covariance dimensions do not match d")
+    m = sigma2.sigma[None].copy()
+    value = np.empty(1)
     with np.errstate(over="ignore", invalid="ignore"):
-        m = (sigma1.sigma + sigma2.sigma) / d + np.eye(d)
-    if not np.isfinite(m).all():
-        raise ValueError("entries of (Sigma1 + Sigma2)/d + I overflow float64; rescale the covariance")
-    sign, logdet = np.linalg.slogdet(m)
-    if sign <= 0:
-        # M >= I for PSD inputs, so only rounding makes it singular: beside
-        # entries this large, the added I is lost (8e307 + 1 == 8e307)
-        raise ValueError(
-            "(Sigma1 + Sigma2)/d + I is singular in float64: the identity is lost to rounding "
-            "beside entries this large; rescale the covariance"
-        )
-    return float(np.exp(-0.5 * logdet))
+        _pair_values(value, sigma1.sigma, m, d)
+    scale = 1.0 / np.sqrt(np.diag(m[0]))
+    low, high = np.linalg.eigvalsh(m[0] * np.outer(scale, scale))[[0, -1]]
+    if d * np.finfo(float).eps * high > 1e-6 * low:
+        raise ValueError(f"(Sigma1 + Sigma2)/d + I is too ill-conditioned for float64: {_LOST}")
+    return float(value[0])
 
 
 def _haar_from_normals(a: np.ndarray) -> np.ndarray:
@@ -134,51 +136,52 @@ def _conjugate(h: np.ndarray, sigma: np.ndarray, out: np.ndarray | None = None) 
 
 
 def _pair_values(out: np.ndarray, sigma: np.ndarray, s2: np.ndarray, d: int) -> None:
-    """det((Sigma + S2)/d + I)^(-1/2) for each S2 in the batch into ``out``; overwrites ``s2``.
+    """det((Sigma + S2)/d + I)^(-1/2) for each S2 in the batch into ``out``; overwrites ``s2`` with M.
 
     Each M = (Sigma + S2)/d + I is symmetric with M >= I, so it has a Cholesky
     factor L with every L_ii >= 1, and the value is 1 / prod L_ii.  L is built
     column by column over the whole batch, with the batch axis innermost:
-    ``low[p, i]`` holds L_ip of every matrix.
+    ``low[p, i]`` holds L_ip of every matrix.  An M that overflows is refused
+    with a ``ValueError``, as is one with some L_ii^2 below 1/2: only rounding
+    can give that, when the added I is lost beside large entries.
     """
     m = np.add(sigma, s2, out=s2)
     m /= d
     m += np.eye(d)
     if not np.isfinite(m).all():
-        raise ValueError("entries of (Sigma + H Sigma H^T)/d + I overflow float64; rescale the covariance")
+        raise ValueError("entries of (Sigma + S)/d + I overflow float64; rescale the covariance")
     low = np.empty((d, d, len(m)))
     prod = np.ones(len(m))
     for j in range(d):
         col = m[:, j:, j].T - np.einsum("pik,pk->ik", low[:j, j:], low[:j, j])
+        if not (col[0] >= 0.5).all():
+            raise ValueError(f"(Sigma + S)/d + I has a Cholesky pivot far below 1 in float64: {_LOST}")
         diag = np.sqrt(col[0])
         np.divide(col, diag, out=low[j, j:])
         prod *= diag
     np.divide(1.0, prod, out=out)
 
 
-def is_scalar_identity(sigma: CovSpec, tol: float = 1e-12) -> bool:
+def is_scalar_identity(sigma: CovSpec) -> bool:
+    """True when Sigma is within 1e-12 of c I in Frobenius norm, c = trace / d."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm reads inf: not scalar
         c = np.trace(sigma.sigma) / sigma.d
-        return float(np.linalg.norm(sigma.sigma - c * np.eye(sigma.d))) < tol
+        return float(np.linalg.norm(sigma.sigma - c * np.eye(sigma.d))) < 1e-12
 
 
-def _chunked_mean_var(values, m: int) -> tuple[float, float]:
-    """Mean and variance of m values, drawn by ``values(k)`` in chunks of k <= _HAAR_CHUNK.
+def _merged_mean_var(blocks: np.ndarray, m: int) -> tuple[float, float]:
+    """Mean and variance of m values from one (mean, sum of squared deviations) row per block.
 
-    Each chunk's squared deviations are summed about its own mean, and the
-    chunks are merged with the update of Chan, Golub and LeVeque, so the
-    variance does not cancel away when the values barely vary.
+    Row b covers values b * _HAAR_BLOCK onward.  The rows are merged in block
+    order with the update of Chan, Golub and LeVeque, so the variance does not
+    cancel away when the values barely vary.
     """
     mean = m2 = 0.0
-    done = 0
-    while done < m:
-        k = min(m - done, _HAAR_CHUNK)
-        vals = values(k)
-        chunk_mean = vals.mean()
-        delta = chunk_mean - mean
+    for done, (block_mean, block_m2) in zip(range(0, m, _HAAR_BLOCK), blocks):
+        k = min(_HAAR_BLOCK, m - done)
+        delta = block_mean - mean
         mean += delta * k / (done + k)
-        m2 += ((vals - chunk_mean) ** 2).sum() + delta**2 * done * k / (done + k)
-        done += k
+        m2 += block_m2 + delta**2 * done * k / (done + k)
     return mean, m2 / m
 
 
@@ -199,30 +202,26 @@ def gaussian_zeta(sigma: CovSpec, d: int, haar: HaarConfig = HaarConfig()) -> tu
 
     gen = RngStream(haar.seed, (0,)).generator()
     s = sigma.sigma
-    workers = range(blas_threads())  # fan_out's states; the blocks need none
+    starts = range(0, haar.m, _HAAR_BLOCK)
+    untaken = iter(starts)
     lock = threading.Lock()
+    blocks = np.empty((len(starts), 2))
 
-    def values(k):
-        # The values of k fresh draws, one block of rows per task.  A task's
-        # rows are picked under the lock, not from fan_out's task: the next
-        # rows take the next normals, so the seed fixes every H whichever
+    def task(_, __):
+        # A task's block is picked under the lock, not from fan_out's task: the
+        # next block takes the next normals, so the seed fixes every H whichever
         # thread draws them.
-        out = np.empty(k)
-        starts = range(0, k, _HAAR_BLOCK)
-        untaken = iter(starts)
+        with lock:
+            lo = next(untaken)
+            a = gen.standard_normal((min(_HAAR_BLOCK, haar.m - lo), d, d))
+        vals = np.empty(len(a))
+        with np.errstate(over="ignore", invalid="ignore"):  # _pair_values refuses an inf M
+            _pair_values(vals, s, _conjugate(_haar_from_normals(a), s, out=a), d)
+        block_mean = vals.mean()
+        blocks[lo // _HAAR_BLOCK] = block_mean, ((vals - block_mean) ** 2).sum()
 
-        def task(_, __):
-            with lock:
-                lo = next(untaken)
-                a = gen.standard_normal((min(_HAAR_BLOCK, k - lo), d, d))
-            with np.errstate(over="ignore", invalid="ignore"):  # _pair_values refuses an inf M
-                conj = _conjugate(_haar_from_normals(a), s, out=a)
-                _pair_values(out[lo:lo + len(a)], s, conj, d)
-
-        fan_out(task, starts, workers)
-        return out
-
-    mean, var = _chunked_mean_var(values, haar.m)
+    fan_out(task, starts, range(blas_threads()))  # fan_out's states; the blocks need none
+    mean, var = _merged_mean_var(blocks, haar.m)
     return float(term1 - mean), float(np.sqrt(var / haar.m))
 
 

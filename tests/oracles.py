@@ -6,8 +6,8 @@ scratch, and the 2-d rotation integrals use composite Simpson quadrature.
 Nothing imports the fast paths it is meant to check; ``direct_exact_pvalue``
 checks only the enumeration of ``calibrate.exact_pvalue`` and so evaluates
 each mask through ``core.swap_statistic``; ``serial_gaussian_zeta`` checks
-only how ``oracle.gaussian_zeta`` computes its draws and so reuses its seed,
-chunk size and closed-form term.
+only how ``oracle.gaussian_zeta`` computes its draws and so reuses its seed
+and closed-form term.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from spheresym.core import AugmentedSample, Sample, swap_statistic
-from spheresym.oracle import _HAAR_CHUNK, gaussian_pair_term, is_scalar_identity
+from spheresym.oracle import gaussian_pair_term, is_scalar_identity
 from spheresym.rng import RngStream
 
 
@@ -223,8 +223,13 @@ def _serial_pair_values(s1, s2, d):
     return np.exp(-0.5 * logdet)
 
 
+# Draws per serial chunk.  Consecutive ``standard_normal`` calls continue one
+# stream, so any chunk size takes the same draws as ``gaussian_zeta``'s blocks.
+_CHUNK = 20_000
+
+
 def _chunk_sizes(m):
-    return [min(_HAAR_CHUNK, m - start) for start in range(0, m, _HAAR_CHUNK)]
+    return [min(_CHUNK, m - start) for start in range(0, m, _CHUNK)]
 
 
 def serial_gaussian_zeta(cov, d, haar) -> tuple[float, float]:

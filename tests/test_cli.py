@@ -120,11 +120,25 @@ def test_zeta_gaussian_refuses_non_finite_matrix(tmp_path, capsys, bad):
 def test_zeta_gaussian_asks_to_rescale_a_matrix_too_large_to_add_the_identity(tmp_path, capsys):
     path = tmp_path / "sigma.csv"
     path.write_text("8e307,8e307\n8e307,8e307\n")
-    # a valid CovSpec that the oracle cannot evaluate: a runtime failure, as an overflow is
-    assert main(["zeta-gaussian", "--sigma", str(path), "--d", "2"]) == 1
+    # a valid CovSpec that the oracle cannot evaluate: bad input, as a non-finite entry is
+    assert main(["zeta-gaussian", "--sigma", str(path), "--d", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "lost to rounding" in captured.err and "rescale the covariance" in captured.err
+
+
+# every covariance the oracle refuses is bad input: an overflow, and a 1e15
+# scale whose added identity is partly lost to rounding
+@pytest.mark.parametrize("text, reason", [("1e308,0\n0,1\n", "overflow float64"),
+                                          ("1e15,1e15\n1e15,1e15\n", "too ill-conditioned")],
+                         ids=["overflow", "ill-conditioned"])
+def test_zeta_gaussian_exits_2_for_a_covariance_the_oracle_refuses(tmp_path, capsys, text, reason):
+    path = tmp_path / "sigma.csv"
+    path.write_text(text)
+    assert main(["zeta-gaussian", "--sigma", str(path), "--d", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert reason in captured.err and "rescale the covariance" in captured.err
 
 
 def test_simulate_command(tmp_path, capsys):

@@ -115,9 +115,9 @@ def test_augmented_sample_norm_check():
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_augmented_sample_refuses_a_variant_that_is_not_finite(bad):
-    # rows of norm ~1.4e200 overflow to an infinite norm, which an infinite
-    # variant entry matches, so the norm check alone would let it through
-    s = Sample(np.array([[1e200, 1e200], [1.0, 0.0]]))
+    # the original's norms are finite: an overflowed one is refused first, as
+    # the overflow that augment turns into an infinite variant row
+    s = Sample(np.array([[3.0, 4.0], [1.0, 0.0]]))
     with pytest.raises(ValueError, match="variant contains NaN or Inf"):
         AugmentedSample(original=s, variant=np.array([[bad, 0.0], [0.0, 1.0]]))
 

@@ -18,9 +18,9 @@ from spheresym import (
 from spheresym import oracle, threads
 from spheresym.distributions import Contaminated, Gaussian
 from spheresym.oracle import (
-    _chunked_mean_var,
     _conjugate,
     _haar_from_normals,
+    _merged_mean_var,
     _pair_values,
     is_scalar_identity,
 )
@@ -80,8 +80,10 @@ def test_pair_term_refuses_overflow():
 
 
 # PSD covariances so large that adding I to (Sigma1 + Sigma2)/d is lost to
-# rounding (8e307 + 1 == 8e307), which leaves the matrix exactly singular
-@pytest.mark.parametrize("scale", [1e16, 8e307])
+# rounding: wholly from 1e16 (8e307 + 1 == 8e307), which leaves the matrix
+# exactly singular, and in part at 1e12 and 1e15, where Cholesky's error bound
+# d eps cond reads 8.9e-4 and 0.92 (slogdet's value was 3e-5 and 3.3% off)
+@pytest.mark.parametrize("scale", [1e12, 1e15, 1e16, 8e307])
 @pytest.mark.parametrize("entry", ["pair_term", "gaussian_zeta"])
 def test_refuses_covariances_whose_identity_is_lost_to_rounding(entry, scale):
     cov = CovSpec(scale * np.ones((2, 2)))
@@ -92,6 +94,15 @@ def test_refuses_covariances_whose_identity_is_lost_to_rounding(entry, scale):
                 gaussian_pair_term(cov, cov, 2)
             else:
                 gaussian_zeta(cov, 2, HaarConfig(m=4_001, seed=0))
+
+
+def test_pair_term_evaluates_a_scale_whose_identity_is_kept():
+    # d eps cond = 8.9e-7 at 1e9, under the 1e-6 bound; det(Sigma + I) = 2e9 + 1
+    cov = CovSpec(1e9 * np.ones((2, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gaussian_pair_term(cov, cov, 2)
+    assert got == pytest.approx((2e9 + 1) ** -0.5, rel=1e-6)
 
 
 def test_gaussian_zeta_finite_at_large_finite_scale():
@@ -322,7 +333,7 @@ def test_conjugate_matches_einsum():
         assert np.abs(_conjugate(h, sigma) - want).max() <= 1e-14 * np.abs(want).max()
 
 
-# m = 1 gives fewer draws than threads; 20_001 is one more than a chunk.
+# m = 1 gives fewer draws than threads; 20_001 ends in a block of one row.
 @pytest.mark.parametrize("m", [1, 3, 20_001])
 @pytest.mark.parametrize("d", [1, 2, 5, 10])
 def test_gaussian_zeta_matches_serial_einsum(d, m):
@@ -374,9 +385,24 @@ def test_gaussian_zeta_std_error_near_isotropy():
     assert se == pytest.approx(want, rel=1e-6, abs=0)
 
 
-def test_chunked_mean_var_merges_chunks_without_cancellation():
-    values = 1.0 + 1e-9 * np.random.default_rng(27).standard_normal(2 * oracle._HAAR_CHUNK + 7)
-    chunks = iter(np.split(values, [oracle._HAAR_CHUNK, 2 * oracle._HAAR_CHUNK]))
-    mean, var = _chunked_mean_var(lambda k: next(chunks), len(values))
+def test_merged_mean_var_merges_blocks_without_cancellation():
+    values = 1.0 + 1e-9 * np.random.default_rng(27).standard_normal(2 * 20_000 + 7)
+    blocks = np.split(values, range(oracle._HAAR_BLOCK, len(values), oracle._HAAR_BLOCK))
+    rows = np.array([(b.mean(), ((b - b.mean()) ** 2).sum()) for b in blocks])
+    mean, var = _merged_mean_var(rows, len(values))
     assert mean == pytest.approx(values.mean(), rel=1e-15)
     assert var == pytest.approx(values.var(), rel=1e-9)
+
+
+# 20_001 and 100_000 draws are 11 and 50 blocks: still one fan-out, so one pool.
+@pytest.mark.parametrize("m", [1, 20_001, 100_000])
+def test_gaussian_zeta_fans_out_once_per_call(monkeypatch, m):
+    calls = []
+
+    def counted(work, tasks, states):
+        calls.append(len(tasks))
+        threads.fan_out(work, tasks, states)
+
+    monkeypatch.setattr(oracle, "fan_out", counted)
+    gaussian_zeta(_random_cov(2, 35), 2, HaarConfig(m=m, seed=36))
+    assert calls == [-(-m // oracle._HAAR_BLOCK)]
