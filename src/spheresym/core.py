@@ -105,7 +105,7 @@ class AugmentedSample:
             raise ValueError(
                 f"variant shape {variant.shape} != original shape {self.original.data.shape}"
             )
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):
             norm_o = np.linalg.norm(self.original.data, axis=1)
             norm_v = np.linalg.norm(variant, axis=1)
         # The original's norms first: augment pairs an overflowed one with an
