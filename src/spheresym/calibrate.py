@@ -21,6 +21,7 @@ bits, which the tie guard absorbs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -33,6 +34,10 @@ DEFAULT_B = 500
 DEFAULT_ALPHA = 0.05
 ENUM_LIMIT = 26
 _TILE_BYTES = 1 << 20  # per-tile memory of the exact enumeration
+# int64 buffer per chunk of the sign draw: under glibc malloc's initial 128 KB
+# mmap threshold, so each chunk reuses heap memory (1 MB chunks raised the
+# peak RSS of a run over n = 50 to 500, B = 500, by 1.8 MB)
+_DRAW_BYTES = 120 << 10
 
 
 @dataclass(frozen=True)
@@ -69,11 +74,38 @@ def cutoff_bound(n: int, alpha: float) -> float:
     return 2.0 / (alpha * (n - 1))
 
 
+def _tie_floor(obs: float) -> float:
+    """The least value counted as a tie with or an exceedance of ``obs``.
+
+    ">=" in exact arithmetic; the guard absorbs accumulation-order noise so
+    structural ties (identity mask, full swap) are never lost to the last bit.
+    """
+    return obs - 1e-12 * max(1.0, abs(obs))
+
+
 def _count_ties_or_exceed(values: np.ndarray, obs: float) -> int:
-    # ">=" in exact arithmetic; the guard absorbs accumulation-order noise so
-    # structural ties (identity mask, full swap) are never lost to the last bit
-    guard = 1e-12 * max(1.0, abs(obs))
-    return int(np.count_nonzero(values >= obs - guard))
+    return int(np.count_nonzero(values >= _tie_floor(obs)))
+
+
+def _least_scaled(floor: float, norm: int) -> float:
+    """The least float t with fl(t / norm) >= floor, for norm > 0.
+
+    Correctly rounded division by norm > 0 is monotone, so x >= t exactly
+    when fl(x / norm) >= floor: comparing the unnormalised values with t
+    counts what dividing them first would.  t is found by single steps from
+    fl(floor * norm), which is at most a few floats away.
+    """
+    t = floor * norm
+    while t / norm >= floor:
+        t = math.nextafter(t, -math.inf)
+    while t / norm < floor:
+        t = math.nextafter(t, math.inf)
+    return t
+
+
+def _count_at_least(values: np.ndarray, t: float, mask: np.ndarray) -> int:
+    """Entries of ``values`` that are >= t, compared into the bool buffer ``mask`` of its shape."""
+    return int(np.count_nonzero(np.greater_equal(values, t, out=mask)))
 
 
 def _sign_table(k: int) -> np.ndarray:
@@ -120,7 +152,9 @@ def exact_pvalue(aug: AugmentedSample, alpha: float = DEFAULT_ALPHA) -> TestOutc
     then costs a few elementwise adds.  There is no matrix product, so no
     BLAS threads: a thread that waits for a busy CPU would stall the whole
     product, and the run time would follow the machine's other load.  Tiles
-    are normalised and counted one by one.
+    are counted one by one, unnormalised, against the least value whose
+    normalised value reaches the tie guard (``_least_scaled``), so the counts
+    are those of dividing every value by n (n - 1) first.
     """
     _check_alpha(alpha)
     n = aug.n
@@ -141,13 +175,13 @@ def exact_pvalue(aug: AugmentedSample, alpha: float = DEFAULT_ALPHA) -> TestOutc
     rows = 1 << low
     cross = _signed_sums(w[:low])
     tile = np.empty_like(cross)
-    norm = n * (n - 1)
+    mask = np.empty(tile.shape, dtype=bool)
+    floor = _least_scaled(_tie_floor(obs), n * (n - 1))
     count = 0
     for h, offset in enumerate(_branch_sums(w[low:a - 1], w[a - 1] + qb)):
         np.add(cross, offset, out=tile)
         tile += qa[h * rows:(h + 1) * rows, None]
-        tile /= norm
-        count += _count_ties_or_exceed(tile, obs)
+        count += _count_at_least(tile, floor, mask)
     p = 2 * count / (1 << n)
     return TestOutcome(
         statistic=obs,
@@ -162,18 +196,22 @@ def exact_pvalue(aug: AugmentedSample, alpha: float = DEFAULT_ALPHA) -> TestOutc
 
 
 def _draw_signs(n: int, B: int, rng: RngStream) -> np.ndarray:
-    """B i.i.d. uniform masks as (B, n) float signs s = 2 * bit - 1.
+    """B i.i.d. uniform masks as (B, n) int8 signs s = 2 * bit - 1.
 
-    Repeats and the identity mask are allowed.  The int64 draw is rewritten
-    in its own buffer: +1.0 and -1.0 differ only in the IEEE-754 sign bit,
-    which is set where the bit is 0.
+    Repeats and the identity mask are allowed.  The rows are drawn from one
+    generator in chunks of at most ``_DRAW_BYTES`` of int64 (or one row);
+    the generator's stream runs on across calls, so the signs are bit for
+    bit those of one (B, n) ``integers(0, 2)`` draw, and no B x n int64
+    buffer is made.
     """
-    bits = rng.generator().integers(0, 2, size=(B, n))
-    word = bits.view(np.uint64)
-    word ^= 1
-    word <<= 63
-    word |= np.float64(1.0).view(np.uint64)
-    return bits.view(np.float64)
+    gen = rng.generator()
+    signs = np.empty((B, n), np.int8)
+    step = max(1, _DRAW_BYTES // (8 * n))
+    for lo in range(0, B, step):
+        signs[lo:lo + step] = gen.integers(0, 2, size=(min(step, B - lo), n))
+    signs <<= 1
+    signs -= 1
+    return signs
 
 
 def _resample(aug: AugmentedSample, B: int, rng: RngStream) -> np.ndarray:

@@ -14,17 +14,19 @@ diagonal), read from the :class:`AugmentedSample` itself, and no code
 holds G.  :func:`swap_values` splits it into square tiles of ``TILE`` rows.
 Each upper tile pair (I, J), J > I, is one block; each diagonal tile is
 the upper pairs of its sub-blocks of ``BLOCK`` rows, since only one
-triangle of G carries information.  For each block the pass builds that
-block of G (:func:`gram_tile`), takes its share s_R^T G_RC s_C of every
-form (doubled off the diagonal) and drops it.  The upper tile pairs, each
-with its blocks, run through ``threads.fan_out`` on as many threads as
-numpy's BLAS is set to use, with BLAS held at one thread while more than
-one runs, and the shares are summed in block order, so past one tile the
-values are the same bit for bit on any thread count (a one-tile pass runs
-its products on BLAS's own threads).  Besides the B x n signs and B + 1
-shares per block, a pass needs per thread one buffer for the largest block
-of G and one scratch buffer for its kernel blocks and its B-row product:
-O(B n) memory in all.  Each off-diagonal tile pair is evaluated once per
+triangle of G carries information.  Each upper tile pair is one task: it
+builds its blocks of G (:func:`gram_tile`) into a store, then streams the
+sign rows through them in chunks and takes each block's share
+s_R^T G_RC s_C of every form (doubled off the diagonal).  The tasks run
+through ``threads.fan_out`` on as many threads as numpy's BLAS is set to
+use, with BLAS held at one thread while more than one runs, and the shares
+are summed in block order, so past one tile the values are the same bit
+for bit on any thread count (a one-tile pass runs its products on BLAS's
+own threads).  Besides the B x n signs, one byte each, and B + 1 shares
+per block, a pass needs per thread a store for one task's blocks (at most
+one tile's area), a scratch buffer for kernel blocks and products, and a
+float64 panel of at most ``PANEL`` signs per tile: O(B n) memory in all,
+n B bytes of it for the signs.  Each off-diagonal tile pair is evaluated once per
 pass, and each diagonal tile in upper 128-row blocks (``BLOCK``), for the
 observed value and all B resamples together: about 2 n^2 + 128 n kernel
 entries and B (n^2 + 128 n) form flops per pass.  Every block is bit for
@@ -54,6 +56,7 @@ from .threads import blas_threads, fan_out, thread_limit
 
 TILE = 512  # rows per Gram tile, one fan-out task per upper tile pair; at n <= TILE, one task
 BLOCK = 128  # rows per block of a diagonal tile, which is built as its upper blocks
+PANEL = 1 << 16  # float64 sign entries per tile in the panel a pass streams through a task's kept blocks
 
 
 @dataclass(frozen=True)
@@ -234,15 +237,24 @@ def _spans(start: int, stop: int, step: int) -> list[slice]:
     return [slice(a, min(a + step, stop)) for a in range(start, stop, step)]
 
 
+def _area(rows: slice, cols: slice) -> int:
+    return (rows.stop - rows.start) * (cols.stop - cols.start)
+
+
 def resample_plan(n: int, B: int):
     """Fan-out tasks, thread count and per-thread buffer sizes of a pass over B sign vectors.
 
-    Each upper tile pair of ``TILE`` rows is one task, a list of blocks
-    (index, rows, cols) numbered in task order: an off-diagonal tile pair
-    is one block, a diagonal tile the upper pairs of its ``BLOCK``-row
-    sub-blocks.  A pass holds the B x n signs, B + 1 shares per block and,
-    per thread, one buffer for the largest block of G and one scratch buffer
-    for its kernel blocks and its B-row product.  One that would not fit in
+    Each upper tile pair of ``TILE`` rows is one task (spans, chunk,
+    blocks): the sign columns it reads, as one tile (diagonal) or two
+    (off-diagonal); the sign rows it streams at a time, as many as
+    ``PANEL`` entries per tile hold (at least one); and its
+    blocks (index, rows, cols), numbered in task order: an off-diagonal tile
+    pair is one block, a diagonal tile the upper pairs of its ``BLOCK``-row
+    sub-blocks.  A pass holds the B x n signs at one byte each, B + 1 shares
+    per block and, per thread, a store for all the blocks of one task (at
+    most one tile's area; one block's at B = 0), one scratch buffer for a
+    block's kernel blocks and for its products with a chunk of signs, and
+    the float64 panel of a chunk's sign columns.  One that would not fit in
     physical memory is refused; the count uses Python integers only, so a
     refused size allocates nothing.
     """
@@ -250,17 +262,21 @@ def resample_plan(n: int, B: int):
     groups = []
     for i, rows in enumerate(tiles):
         subs = _spans(rows.start, rows.stop, BLOCK)
-        groups.append([(a, b) for k, a in enumerate(subs) for b in subs[k:]])
-        groups.extend([(rows, cols)] for cols in tiles[i + 1:])
-    tasks, blocks = [], 0
-    for group in groups:
-        tasks.append([(blocks + k, rows, cols) for k, (rows, cols) in enumerate(group)])
+        groups.append(([rows], [(a, b) for k, a in enumerate(subs) for b in subs[k:]]))
+        groups.extend(([rows, cols], [(rows, cols)]) for cols in tiles[i + 1:])
+    tasks, blocks, sizes = [], 0, (0, 0, 0)
+    for spans, group in groups:
+        width = sum(span.stop - span.start for span in spans)
+        chunk = max(1, min(B, PANEL // max(span.stop - span.start for span in spans)))
+        tasks.append((spans, chunk, [(blocks + k, rows, cols) for k, (rows, cols) in enumerate(group)]))
         blocks += len(group)
-    area = max((r.stop - r.start) * (c.stop - c.start) for group in groups for r, c in group)
-    width = max(c.stop - c.start for group in groups for _, c in group)
-    sizes = (area, max(area, B * width))
+        areas = [_area(r, c) for r, c in group]
+        # with no sign rows to stream, a block is dropped once its all-ones share is taken
+        store = sum(areas) if B else max(areas)
+        scratch = max(max(areas), chunk * max(c.stop - c.start for _, c in group))
+        sizes = tuple(map(max, sizes, (store, scratch, chunk * width)))
     workers = min(blas_threads(), len(tasks))
-    need = 8 * (B * n + blocks * (B + 1) + workers * sum(sizes))
+    need = B * n + 8 * (blocks * (B + 1) + workers * sum(sizes))
     memory = _physical_memory_bytes()
     if memory is not None and need > memory:
         raise ValueError(
@@ -275,20 +291,14 @@ def _forms(left: np.ndarray, g: np.ndarray, right: np.ndarray, out: np.ndarray, 
     np.einsum("ij,ij->i", np.matmul(left, g, out=product), right, out=out)
 
 
-def _block_shares(aug, rows, cols, signs, ones, shares, out, scratch) -> np.ndarray:
-    """Build G's block (rows, cols) and write its share of every form to ``shares``; return the block.
-
-    ``shares`` gets the all-ones form first, then one value per row of
-    ``signs``, doubled off the diagonal for the mirror block (cols, rows).
-    """
-    g = gram_tile(aug, rows, cols, out, scratch)
-    c = g.shape[1]
-    _forms(ones[:, rows], g, ones[:, cols], shares[:1], scratch[:c].reshape(1, c))
-    if len(signs):
-        _forms(signs[:, rows], g, signs[:, cols], shares[1:], scratch[: len(signs) * c].reshape(-1, c))
-    if rows != cols:
-        shares *= 2.0
-    return g
+def _on_panel(part: slice, spans: list[slice]) -> slice:
+    """Where sign columns ``part``, inside one of ``spans``, sit on a panel of the spans side by side."""
+    at = 0
+    for span in spans:
+        if part.start < span.stop:
+            break
+        at += span.stop - span.start
+    return slice(at + part.start - span.start, at + part.stop - span.start)
 
 
 def _statistics(shares: np.ndarray, n: int) -> np.ndarray:
@@ -307,26 +317,51 @@ def _statistics(shares: np.ndarray, n: int) -> np.ndarray:
 def swap_values(aug: AugmentedSample, signs: np.ndarray | None = None) -> np.ndarray:
     """The observed statistic, then s^T G s / (n (n-1)) for each row s of ``signs``, in one pass.
 
-    ``signs`` is a (B, n) array of +1/-1 entries, which are not checked here
-    (:func:`swap_statistic` checks them); None stands for B = 0.  Each
-    block's shares, the all-ones form first, go to its own row of a
-    (blocks x (B + 1)) array, summed in block order.  While more than one
-    thread builds tiles, BLAS is held at one thread.  A value outside
-    [-2, 2] is refused.
+    ``signs`` is a (B, n) array of +1/-1 entries of any dtype (int8 from
+    the sign draw, float from :func:`swap_statistic`), which are not checked
+    here; None stands for B = 0.  Each task builds all its blocks of G into
+    its thread's store and takes their all-ones shares, then streams the
+    sign rows in chunks: a chunk's columns of the task are copied into the
+    thread's float64 panel, and every kept block writes its shares of that
+    chunk's forms.  Shares off the diagonal are doubled, for the mirror
+    block.  Each block's shares go to its own row of a (blocks x (B + 1))
+    array, summed in block order.  While more than one thread builds tiles,
+    BLAS is held at one thread.  A value outside [-2, 2] is refused.
     """
     n = aug.n
-    s = np.empty((0, n)) if signs is None else signs
+    s = np.empty((0, n), np.int8) if signs is None else signs
     B = len(s)
     tasks, workers, sizes = resample_plan(n, B)
     ones = np.ones((1, n))
-    shares = np.empty((sum(map(len, tasks)), B + 1))
+    shares = np.empty((sum(len(blocks) for _, _, blocks in tasks), B + 1))
     # Allocated on the calling thread: allocating them in the pool threads
-    # cost 2.5% of the build's speed and 7 MB of peak RSS at n = 2000.
-    buffers = [tuple(np.empty(size) for size in sizes) for _ in range(workers)]
+    # cost 2.5% of the build's speed and 7 MB of peak RSS at n = 2000.  One
+    # allocation per thread: as three, glibc malloc gave the heap back after
+    # each pass, and a run_test at n = 500 took about 600 page faults, not 0.
+    buffers = [np.empty(sum(sizes)) for _ in range(workers)]
+    cut = (sizes[0], sizes[0] + sizes[1])
 
-    def share(bufs, task):
-        for b, rows, cols in task:
-            _block_shares(aug, rows, cols, s, ones, shares[b], *bufs)
+    def share(buf, task):
+        store, scratch, panel = buf[: cut[0]], buf[cut[0]: cut[1]], buf[cut[1]:]
+        spans, chunk, blocks = task
+        kept, at = [], 0
+        for b, rows, cols in blocks:
+            g = gram_tile(aug, rows, cols, store[at:], scratch)
+            at += g.size if B else 0
+            _forms(ones[:, rows], g, ones[:, cols], shares[b, :1], scratch[: g.shape[1]].reshape(1, -1))
+            kept.append((b, _on_panel(rows, spans), _on_panel(cols, spans), g))
+        width = sum(span.stop - span.start for span in spans)
+        for lo in range(0, B, chunk):
+            hi = min(lo + chunk, B)
+            part = panel[: (hi - lo) * width].reshape(hi - lo, width)
+            for span in spans:
+                part[:, _on_panel(span, spans)] = s[lo:hi, span]
+            for b, rows, cols, g in kept:
+                product = scratch[: (hi - lo) * g.shape[1]].reshape(hi - lo, -1)
+                _forms(part[:, rows], g, part[:, cols], shares[b, 1 + lo:1 + hi], product)
+        for b, rows, cols in blocks:
+            if rows != cols:
+                shares[b] *= 2.0
 
     hold = thread_limit(1) if workers > 1 else None
     with hold or contextlib.nullcontext():
@@ -341,9 +376,10 @@ def one_tile(aug: AugmentedSample) -> tuple[np.ndarray, float]:
     """
     n = aug.n
     whole = slice(0, n)
+    g = gram_tile(aug, whole, whole)
     shares = np.empty((1, 1))
-    g = _block_shares(aug, whole, whole, np.empty((0, n)), np.ones((1, n)), shares[0],
-                      np.empty(n * n), np.empty(n * n))
+    ones = np.ones((1, n))
+    _forms(ones, g, ones, shares[0], np.empty((1, n)))
     return g, float(_statistics(shares, n)[0])
 
 

@@ -164,13 +164,13 @@ def test_signed_sums_match_sign_table_product(k):
 def _record_tiles(monkeypatch):
     """Collect the shape of every tile the exact enumeration counts."""
     shapes = []
-    count = calibrate._count_ties_or_exceed
+    count = calibrate._count_at_least
 
-    def recording(values, obs):
+    def recording(values, t, mask):
         shapes.append(values.shape)
-        return count(values, obs)
+        return count(values, t, mask)
 
-    monkeypatch.setattr(calibrate, "_count_ties_or_exceed", recording)
+    monkeypatch.setattr(calibrate, "_count_at_least", recording)
     return shapes
 
 
@@ -183,6 +183,45 @@ def test_exact_pvalue_independent_of_tile_budget(monkeypatch):
     assert len(shapes) > 1
     assert all(9 * r * c <= 4096 for r, c in shapes)
     assert sum(r * c for r, c in shapes) == 1 << 15
+
+
+def test_least_scaled_is_the_least_value_whose_quotient_reaches_the_floor():
+    rng = np.random.default_rng(21)
+    for _ in range(2000):
+        norm = int(rng.integers(2, 27)) * int(rng.integers(1, 26))
+        floor = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-14, 1))
+        t = calibrate._least_scaled(floor, norm)
+        assert t / norm >= floor > math.nextafter(t, -math.inf) / norm
+
+
+def test_exact_counts_match_dividing_every_value_first(monkeypatch):
+    # 210 random samples at n <= 22, data scales 1e-3 to 1e3: every tile's
+    # count against the unnormalised floor equals the count of its values
+    # divided by n (n - 1) and compared with the guarded observed value.
+    # Few values fall near that floor, so the tile's first values are also
+    # counted against floors on their own quotients and one float either side.
+    count = calibrate._count_at_least
+    for case in range(210):
+        rng = np.random.default_rng([22, case])
+        n, d = int(rng.integers(2, 23)), int(rng.integers(1, 6))
+        data = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal((n, d))
+        aug = augment(Sample(data), RngStream(case, (22,)))
+        floor, norm = calibrate._tie_floor(calibrate.one_tile(aug)[1]), n * (n - 1)
+        counts = []
+
+        def checked(values, t, mask):
+            got = count(values, t, mask)
+            counts.append((got, int(np.count_nonzero(values / norm >= floor))))
+            head = values.ravel()[:512]
+            for q in head[:3] / norm:
+                for f in (math.nextafter(q, -math.inf), q, math.nextafter(q, math.inf)):
+                    at = calibrate._least_scaled(f, norm)
+                    counts.append((np.count_nonzero(head >= at), np.count_nonzero(head / norm >= f)))
+            return got
+
+        monkeypatch.setattr(calibrate, "_count_at_least", checked)
+        exact_pvalue(aug)
+        assert counts and all(got == want for got, want in counts), (case, n)
 
 
 def test_exact_pvalue_at_enum_limit_within_tile_budget(monkeypatch):
@@ -216,7 +255,7 @@ def test_draw_signs_are_the_mask_stream_as_signs():
 
     bits = RngStream(5, (2,)).generator().integers(0, 2, size=(70, 33))
     signs = _draw_signs(33, 70, RngStream(5, (2,)))
-    assert signs.dtype == np.float64
+    assert signs.dtype == np.int8
     assert np.array_equal(signs, 2.0 * bits - 1.0)
 
 

@@ -210,7 +210,7 @@ def _signs(n, B, seed=0):
     return calibrate._draw_signs(n, B, RngStream(seed, (7,)))
 
 
-def test_build_gram_same_bits_on_one_and_two_threads():
+def test_swap_values_same_bits_on_one_and_two_threads():
     if threads.openblas_thread_controls() is None:
         pytest.skip("numpy's OpenBLAS thread count cannot be read or set here")
     aug = _tiled_aug()
@@ -255,8 +255,9 @@ def _refuse_draws(monkeypatch):
 def test_resampling_refuses_more_than_physical_memory(monkeypatch):
     aug = augment(Sample(np.random.default_rng(9).standard_normal((10, 2))), RngStream(9))
     draw = calibrate._draw_signs
-    # the B x n signs, one tile pair's B + 1 shares, one thread's tile and scratch
-    need = 8 * (7 * 10 + 1 * 8 + (10 * 10 + 10 * 10))
+    # the B x n signs at one byte each, then in 8-byte floats one tile pair's
+    # B + 1 shares and one thread's block store, scratch and B x n sign panel
+    need = 7 * 10 + 8 * (1 * 8 + (10 * 10 + 10 * 10 + 7 * 10))
     monkeypatch.setattr(core, "_physical_memory_bytes", lambda: need - 1)
     _refuse_draws(monkeypatch)
     message = f"n = 10 pairs with B = 7 sign vectors needs about {need} bytes"
@@ -285,14 +286,66 @@ def test_memory_guard_counts_the_tiled_pass(monkeypatch):
     # of 2 rows split tiles 0:4 and 4:8 into three upper blocks each: ten blocks
     for block, blocks in ((128, 6), (2, 10)):
         monkeypatch.setattr(core, "BLOCK", block)
-        # signs, one row of B + 1 shares per block, two threads' largest block
-        # (an off-diagonal 4 x 4) and scratch (B x 4)
-        need = 8 * (5 * 10 + blocks * 6 + 2 * (4 * 4 + 5 * 4))
+        # signs at one byte each, one row of B + 1 shares per block, and two
+        # threads' block store (an off-diagonal 4 x 4; a diagonal tile's blocks
+        # take no more), scratch (the B x 4 product) and panel (B rows of an
+        # off-diagonal task's 8 sign columns)
+        need = 5 * 10 + 8 * (blocks * 6 + 2 * (4 * 4 + 5 * 4 + 5 * 8))
         monkeypatch.setattr(core, "_physical_memory_bytes", lambda: need - 1)
         with pytest.raises(ValueError, match=f"n = 10 pairs with B = 5 sign vectors needs about {need} bytes"):
             calibrate.mc_pvalue(aug, 5, RngStream(3))
         monkeypatch.setattr(core, "_physical_memory_bytes", lambda: need)
         np.testing.assert_allclose(core.swap_values(aug, signs)[1:], want, rtol=0, atol=1e-15)
+
+
+def test_one_byte_signs_admit_a_pass_that_eight_byte_signs_would_not(monkeypatch):
+    n, B = 600, 500
+    aug = augment(Sample(np.random.default_rng(9).standard_normal((n, 2))), RngStream(9))
+    monkeypatch.setattr(core, "blas_threads", lambda: 1)
+    # tiles 0:512 (ten 128-row blocks) and 512:600, and their off-diagonal
+    # pair: twelve blocks.  Signs at one byte, shares, and one thread's block
+    # store (the ten blocks), scratch (the 512 x 88 block) and panel (128 rows
+    # of the tile pair's 600 sign columns)
+    need = B * n + 8 * (12 * (B + 1) + 10 * 128 * 128 + 512 * 88 + 128 * 600)
+    # with 8-byte signs, one largest-block buffer and a B-row product buffer
+    # (B x 128) the same pass would count 3,320,544 bytes; the signs alone
+    # make the difference, as at one byte each it would count 1,220,544
+    eight = 8 * (B * n + 12 * (B + 1) + 512 * 88 + B * 128)
+    assert (need, eight, eight - 7 * B * n) == (2_633_664, 3_320_544, 1_220_544)
+    monkeypatch.setattr(core, "_physical_memory_bytes", lambda: need)
+    want = calibrate.mc_pvalue(aug, B, RngStream(0))
+    monkeypatch.setattr(core, "_physical_memory_bytes", lambda: None)
+    assert calibrate.mc_pvalue(aug, B, RngStream(0)) == want
+    monkeypatch.setattr(core, "_physical_memory_bytes", lambda: need - 1)
+    _refuse_draws(monkeypatch)
+    with pytest.raises(ValueError, match=f"n = 600 pairs with B = 500 sign vectors needs about {need} bytes"):
+        calibrate.mc_pvalue(aug, B, RngStream(0))
+
+
+def test_swap_values_same_for_int8_and_float_signs_and_any_panel(monkeypatch):
+    aug = _tiled_aug(n=700, d=3)
+    signs = _signs(aug.n, 45)
+    assert signs.dtype == np.int8
+    values = core.swap_values(aug, signs)
+    assert np.array_equal(core.swap_values(aug, signs.astype(float)), values)
+    assert np.array_equal(swap_statistic(aug, signs), values[1:])
+    # a panel of 4096 signs per tile streams the 45 rows in chunks of 8 (the
+    # tasks that read the 512-row tile) and 21 (the 188-row tile), which
+    # changes the shapes of the products and may move last bits
+    monkeypatch.setattr(core, "PANEL", 4096)
+    assert [chunk for _, chunk, _ in core.resample_plan(aug.n, 45)[0]] == [8, 8, 21]
+    np.testing.assert_allclose(core.swap_values(aug, signs), values, rtol=0, atol=1e-15)
+    monkeypatch.setattr(core, "PANEL", 1)  # one sign row at a time
+    assert {chunk for _, chunk, _ in core.resample_plan(aug.n, 45)[0]} == {1}
+    np.testing.assert_allclose(core.swap_values(aug, signs), values, rtol=0, atol=1e-15)
+
+
+def test_an_observed_only_pass_keeps_one_block_at_a_time():
+    # n = 500 is one diagonal tile of four 128-row blocks, ten upper pairs
+    assert core.resample_plan(500, 0)[2][0] == 128 * 128
+    assert core.resample_plan(500, 1)[2][0] == 6 * 128 * 128 + 3 * 128 * 116 + 116 * 116
+    aug = _tiled_aug(n=500, d=3)
+    assert core.swap_values(aug)[0] == core.swap_values(aug, _signs(500, 3))[0]
 
 
 def test_resampling_refuses_a_huge_B_without_allocating(monkeypatch):
@@ -400,7 +453,7 @@ def test_mc_pvalue_never_allocates_the_dense_gram():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # G alone would be 8 n^2 = 32 MB; the pass holds 8 MB of signs and a few tiles
+    # G alone would be 8 n^2 = 32 MB; the pass holds 1 MB of signs and a few tiles
     assert peak < 8 * n * n
 
 
