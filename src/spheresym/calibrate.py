@@ -16,7 +16,10 @@ enumeration (n <= 26) builds G as one tile and assembles the same quadratic
 forms from two half-tables of sign vectors (``exact_pvalue``).  In exact arithmetic the
 all-ones vector and the full swap tie with the observed statistic;
 differently ordered sums of the same value may still differ in the last
-bits, which the tie guard absorbs.
+bits, which the tie guard absorbs.  A study keeps only the decision, so
+its pass may stop once enough resamples reach the observed value that the
+test cannot reject (``_rejects``); ``run_test`` and ``mc_pvalue`` always
+evaluate all B.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .augment import augment, center
-from .core import AugmentedSample, Sample, one_tile, resample_plan, swap_values
+from .core import AugmentedSample, Sample, _tie_floor, one_tile, resample_plan, swap_values
 from .rng import RngStream
 
 DEFAULT_B = 500
@@ -72,15 +75,6 @@ def _check_alpha(alpha: float) -> None:
 def cutoff_bound(n: int, alpha: float) -> float:
     """Deterministic bound 2 / (alpha (n - 1)) on the resampling cutoff."""
     return 2.0 / (alpha * (n - 1))
-
-
-def _tie_floor(obs: float) -> float:
-    """The least value counted as a tie with or an exceedance of ``obs``.
-
-    ">=" in exact arithmetic; the guard absorbs accumulation-order noise so
-    structural ties (identity mask, full swap) are never lost to the last bit.
-    """
-    return obs - 1e-12 * max(1.0, abs(obs))
 
 
 def _count_ties_or_exceed(values: np.ndarray, obs: float) -> int:
@@ -214,15 +208,33 @@ def _draw_signs(n: int, B: int, rng: RngStream) -> np.ndarray:
     return signs
 
 
-def _resample(aug: AugmentedSample, B: int, rng: RngStream) -> np.ndarray:
+def _resample(aug: AugmentedSample, B: int, rng: RngStream, stop: int | None = None) -> np.ndarray:
     """The observed statistic, then those of B uniform masks drawn from ``rng``.
 
-    A B < 1, or a pass that would not fit in memory, is refused before drawing.
+    All B masks are drawn; with ``stop``, the pass may end once ``stop`` of
+    the values it has evaluated tie with or exceed the observed one, and
+    returns those evaluated (``core.swap_values``).  A B < 1, or a pass that
+    would not fit in memory, is refused before drawing.
     """
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
     resample_plan(aug.n, B)
-    return swap_values(aug, _draw_signs(aug.n, B, rng))
+    return swap_values(aug, _draw_signs(aug.n, B, rng), stop)
+
+
+def _stop_count(B: int, alpha: float) -> int:
+    """The least count c of ties and exceedances at which (c + 1) / (B + 1) < alpha is false.
+
+    ``mc_pvalue`` rejects exactly when the count is below it, with the same
+    float test; the division is monotone in c, so the search steps from an
+    estimate as ``_least_scaled`` does.
+    """
+    c = max(0, math.floor(alpha * (B + 1)) - 1)
+    while c > 0 and not (c / (B + 1) < alpha):
+        c -= 1
+    while (c + 1) / (B + 1) < alpha:
+        c += 1
+    return c
 
 
 def mc_pvalue(aug: AugmentedSample, B: int, rng: RngStream, alpha: float = DEFAULT_ALPHA) -> TestOutcome:
@@ -259,6 +271,14 @@ def critical_value(aug: AugmentedSample, alpha: float, B: int, rng: RngStream) -
     return float(values[rank - 1])
 
 
+def _augmented(sample: Sample, rng: RngStream, alpha: float, center_mode: str) -> AugmentedSample:
+    """``run_test``'s first steps: check alpha and n, center, augment from ``rng.child(0)``."""
+    _check_alpha(alpha)
+    if sample.n < 2:
+        raise ValueError("test needs at least two observations")
+    return augment(center(sample, mode=center_mode), rng.child(0))
+
+
 def run_test(
     sample: Sample,
     rng: RngStream,
@@ -268,13 +288,27 @@ def run_test(
     exact: bool = False,
 ) -> TestOutcome:
     """Full pipeline: center, augment, then the calibrated p-value and decision."""
-    _check_alpha(alpha)
-    if sample.n < 2:
-        raise ValueError("test needs at least two observations")
-    centered = center(sample, mode=center_mode)
-    aug = augment(centered, rng.child(0))
+    aug = _augmented(sample, rng, alpha, center_mode)
     if exact:
         outcome = exact_pvalue(aug, alpha=alpha)
     else:
         outcome = mc_pvalue(aug, B, rng.child(1), alpha=alpha)
     return replace(outcome, seed=rng.seed, center=center_mode)
+
+
+def _rejects(
+    sample: Sample,
+    rng: RngStream,
+    alpha: float = DEFAULT_ALPHA,
+    B: int = DEFAULT_B,
+    center_mode: str = "none",
+) -> bool:
+    """``run_test(sample, rng, alpha, B, center_mode).reject``, resampling only until it is fixed.
+
+    The same steps and the same B masks; the pass stops once ``_stop_count``
+    resamples tie with or exceed the observed value, since no later one can
+    make the test reject.  For studies, which keep only the decision.
+    """
+    aug = _augmented(sample, rng, alpha, center_mode)
+    values = _resample(aug, B, rng.child(1), _stop_count(B, alpha))
+    return (_count_ties_or_exceed(values[1:], float(values[0])) + 1) / (B + 1) < alpha

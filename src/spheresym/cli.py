@@ -37,6 +37,13 @@ from .rng import RngStream
 from .threads import thread_limit
 
 
+# A probe (R = 400, B = 200, alpha = 0.05, Gaussian and spherical t3 data
+# shifted off centre), not a checked criterion; the README has the table.
+CENTER_HELP = ("'spatial-median' subtracts the sample's spatial median first, which makes the test "
+               "conservative: in a probe at alpha = 0.05 its level was 0.007-0.010 at d = 2 and "
+               "0.000 at d = 10 and d = 100, against 0.037-0.075 at the true centre")
+
+
 def _add_common_test_flags(p: argparse.ArgumentParser):
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--B", type=int, default=DEFAULT_B)
@@ -55,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="CSV file, rows = observations")
     p.add_argument("--header", action="store_true", help="skip a header row")
     _add_common_test_flags(p)
-    p.add_argument("--center", choices=CENTER_MODES, default="none")
+    p.add_argument("--center", choices=CENTER_MODES, default="none", help=CENTER_HELP)
     p.add_argument("--exact", action="store_true",
                    help=f"enumerate all 2^n swaps (n <= {ENUM_LIMIT})")
     p.add_argument("--output", help="write the outcome as JSON to this path")
@@ -83,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=int, nargs="+", required=True)
     p.add_argument("--R", type=int, default=200)
     _add_common_test_flags(p)
-    p.add_argument("--center", choices=CENTER_MODES, default="spatial-median")
+    p.add_argument("--center", choices=CENTER_MODES, default="spatial-median", help=CENTER_HELP)
     p.add_argument("--output", default="results/subsample")
 
     return parser

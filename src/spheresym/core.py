@@ -301,6 +301,15 @@ def _on_panel(part: slice, spans: list[slice]) -> slice:
     return slice(at + part.start - span.start, at + part.stop - span.start)
 
 
+def _tie_floor(obs: float) -> float:
+    """The least value counted as a tie with or an exceedance of ``obs``.
+
+    ">=" in exact arithmetic; the guard absorbs accumulation-order noise so
+    structural ties (identity mask, full swap) are never lost to the last bit.
+    """
+    return obs - 1e-12 * max(1.0, abs(obs))
+
+
 def _statistics(shares: np.ndarray, n: int) -> np.ndarray:
     """The rows of ``shares`` summed in block order, over n (n - 1); a value outside [-2, 2] is refused."""
     if n < 2:
@@ -314,7 +323,7 @@ def _statistics(shares: np.ndarray, n: int) -> np.ndarray:
     return values
 
 
-def swap_values(aug: AugmentedSample, signs: np.ndarray | None = None) -> np.ndarray:
+def swap_values(aug: AugmentedSample, signs: np.ndarray | None = None, stop: int | None = None) -> np.ndarray:
     """The observed statistic, then s^T G s / (n (n-1)) for each row s of ``signs``, in one pass.
 
     ``signs`` is a (B, n) array of +1/-1 entries of any dtype (int8 from
@@ -327,6 +336,14 @@ def swap_values(aug: AugmentedSample, signs: np.ndarray | None = None) -> np.nda
     block.  Each block's shares go to its own row of a (blocks x (B + 1))
     array, summed in block order.  While more than one thread builds tiles,
     BLAS is held at one thread.  A value outside [-2, 2] is refused.
+
+    With ``stop``, a one-task pass (n <= ``TILE``) ends between chunks once
+    ``stop`` of the values it has evaluated reach the observed value's tie
+    floor (:func:`_tie_floor`; at ``stop`` = 0, before the first chunk), and
+    returns only the values evaluated so far.  Its chunks are those of the
+    full pass, so each of those values is the full pass's bit for bit.  A
+    pass of more tasks runs every chunk: a chunk's values are complete only
+    once every task has run it.
     """
     n = aug.n
     s = np.empty((0, n), np.int8) if signs is None else signs
@@ -334,6 +351,8 @@ def swap_values(aug: AugmentedSample, signs: np.ndarray | None = None) -> np.nda
     tasks, workers, sizes = resample_plan(n, B)
     ones = np.ones((1, n))
     shares = np.empty((sum(len(blocks) for _, _, blocks in tasks), B + 1))
+    curtail = stop is not None and len(tasks) == 1
+    evaluated = 0 if curtail else B
     # Allocated on the calling thread: allocating them in the pool threads
     # cost 2.5% of the build's speed and 7 MB of peak RSS at n = 2000.  One
     # allocation per thread: as three, glibc malloc gave the heap back after
@@ -342,6 +361,7 @@ def swap_values(aug: AugmentedSample, signs: np.ndarray | None = None) -> np.nda
     cut = (sizes[0], sizes[0] + sizes[1])
 
     def share(buf, task):
+        nonlocal evaluated
         store, scratch, panel = buf[: cut[0]], buf[cut[0]: cut[1]], buf[cut[1]:]
         spans, chunk, blocks = task
         kept, at = [], 0
@@ -349,24 +369,32 @@ def swap_values(aug: AugmentedSample, signs: np.ndarray | None = None) -> np.nda
             g = gram_tile(aug, rows, cols, store[at:], scratch)
             at += g.size if B else 0
             _forms(ones[:, rows], g, ones[:, cols], shares[b, :1], scratch[: g.shape[1]].reshape(1, -1))
-            kept.append((b, _on_panel(rows, spans), _on_panel(cols, spans), g))
-        width = sum(span.stop - span.start for span in spans)
+            kept.append((b, _on_panel(rows, spans), _on_panel(cols, spans), g, rows != cols))
+            if rows != cols:
+                shares[b, 0] *= 2.0
+        # the one task holds every block, so the observed value is complete
+        floor = _tie_floor(_statistics(shares[:, :1], n)[0]) if curtail else None
+        reached, width = 0, sum(span.stop - span.start for span in spans)
         for lo in range(0, B, chunk):
+            if curtail and reached >= stop:
+                return
             hi = min(lo + chunk, B)
             part = panel[: (hi - lo) * width].reshape(hi - lo, width)
             for span in spans:
                 part[:, _on_panel(span, spans)] = s[lo:hi, span]
-            for b, rows, cols, g in kept:
+            for b, rows, cols, g, mirrored in kept:
                 product = scratch[: (hi - lo) * g.shape[1]].reshape(hi - lo, -1)
                 _forms(part[:, rows], g, part[:, cols], shares[b, 1 + lo:1 + hi], product)
-        for b, rows, cols in blocks:
-            if rows != cols:
-                shares[b] *= 2.0
+                if mirrored:
+                    shares[b, 1 + lo:1 + hi] *= 2.0
+            if curtail:
+                reached += int(np.count_nonzero(_statistics(shares[:, 1 + lo:1 + hi], n) >= floor))
+                evaluated = hi
 
     hold = thread_limit(1) if workers > 1 else None
     with hold or contextlib.nullcontext():
         fan_out(share, tasks, buffers)
-    return _statistics(shares, n)
+    return _statistics(shares[:, : 1 + evaluated], n)
 
 
 def one_tile(aug: AugmentedSample) -> tuple[np.ndarray, float]:

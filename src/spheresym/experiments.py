@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .augment import CENTER_MODES
-from .calibrate import DEFAULT_ALPHA, DEFAULT_B, run_test
+from .calibrate import DEFAULT_ALPHA, DEFAULT_B, _rejects
 from .distributions import (
     AngularSymmetric,
     Contaminated,
@@ -110,7 +110,9 @@ def run_power_study(config: ExperimentConfig) -> list[PowerRecord]:
     """Rejection fraction per grid cell over R seeded replications.
 
     Replication r of cell ci uses ``RngStream(seed, (ci, r))``: ``child(0)``
-    draws the sample and ``child(1)`` runs the test.
+    draws the sample and ``child(1)`` runs the test.  Each decision is
+    ``run_test``'s, but a replication's resampling stops once its decision
+    is fixed (``calibrate._rejects``), so no p-value is kept.
     """
     records = []
     for ci, cell in enumerate(config.cells):
@@ -118,10 +120,9 @@ def run_power_study(config: ExperimentConfig) -> list[PowerRecord]:
         for r in range(config.R):
             rep = RngStream(config.seed, (ci, r))
             data = sample(cell.spec, cell.n, rep.child(0))
-            outcome = run_test(
+            rejections += _rejects(
                 data, rep.child(1), alpha=config.alpha, B=config.B, center_mode=config.center_mode
             )
-            rejections += int(outcome.reject)
         records.append(
             PowerRecord(
                 name=config.name,

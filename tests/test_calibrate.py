@@ -353,3 +353,51 @@ def test_observed_statistic_ties_with_identity_mask():
         assert obs == core.swap_values(aug)[0]
         g = core.gram_tile(aug, slice(0, 9), slice(0, 9))
         assert obs == pytest.approx(float(g.sum()) / (9 * 8), abs=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
+@pytest.mark.parametrize("B", [1, 19, 99, 500])
+def test_stop_count_is_where_mc_pvalue_stops_rejecting(monkeypatch, alpha, B):
+    stop = calibrate._stop_count(B, alpha)
+    aug = _random_aug(20, n=2)
+    for c in range(B + 1):
+        # an observed value of 0 and c resampled values that tie with or exceed it
+        values = np.concatenate([[0.0], np.ones(c), -np.ones(B - c)])
+        monkeypatch.setattr(calibrate, "swap_values", lambda *args: values)
+        assert mc_pvalue(aug, B, RngStream(0), alpha=alpha).reject == (c < stop)
+        assert calibrate._rejects(aug.original, RngStream(0), alpha, B) == (c < stop)
+
+
+def test_stop_counts_at_five_percent():
+    # B = 1 and 19 cannot reject at 5%: the pass may stop after the observed value
+    assert [calibrate._stop_count(B, 0.05) for B in (1, 19, 99, 500)] == [0, 0, 4, 25]
+
+
+def _count_form_rows(monkeypatch):
+    """The rows of every product core._forms evaluates, one entry per call."""
+    rows, forms = [], core._forms
+
+    def counted(left, g, right, out, product):
+        rows.append(len(out))
+        return forms(left, g, right, out, product)
+
+    monkeypatch.setattr(core, "_forms", counted)
+    return rows
+
+
+def test_a_study_decision_evaluates_only_the_resamples_it_needs(monkeypatch):
+    n, B = 500, 500
+    # one diagonal task of ten upper 128-row blocks; chunks of 131 sign rows
+    ((_, chunk, blocks),) = core.resample_plan(n, B)[0]
+    assert (chunk, len(blocks)) == (131, 10)
+    null = Sample(np.random.default_rng(3).standard_normal((n, 10)))
+    off_centre = Sample(null.data + 3.0)
+    assert not run_test(null, RngStream(4), 0.05, B).reject
+    assert run_test(off_centre, RngStream(4), 0.05, B).reject
+    rows = _count_form_rows(monkeypatch)
+    assert not calibrate._rejects(null, RngStream(4), 0.05, B)
+    evaluated = sum(rows) // len(blocks) - 1  # each block's all-ones row, then its sign rows
+    assert 0 < evaluated < B and evaluated % chunk == 0
+    rows.clear()
+    assert calibrate._rejects(off_centre, RngStream(4), 0.05, B)
+    assert sum(rows) == len(blocks) * (1 + B)  # a rejecting replication evaluates every resample

@@ -543,3 +543,23 @@ def test_gram_tile_flips_sign_under_swaps(seed, n, d):
     s[seed % n] = -1.0
     want = s[:, None] * _tiled_g(aug) * s
     np.testing.assert_allclose(_tiled_g(swap_pairs(aug, s)), want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, tile", [(40, 512), (300, 512), (500, 512), (300, 128)])
+def test_a_stopped_pass_gives_the_full_pass_values_bit_for_bit(monkeypatch, n, tile):
+    monkeypatch.setattr(core, "TILE", tile)
+    aug = _tiled_aug(n=n, d=4)
+    signs = _signs(n, 500)
+    full = core.swap_values(aug, signs)
+    reached = np.cumsum(full[1:] >= core._tie_floor(full[0]))
+    ((_, chunk, _), *more) = core.resample_plan(n, 500)[0]
+    for stop in (0, 1, 25, int(reached[-1]), int(reached[-1]) + 1, 500):
+        part = core.swap_values(aug, signs, stop)
+        assert np.array_equal(part, full[: len(part)])
+        evaluated = len(part) - 1
+        if more:  # a pass of several tasks runs every chunk
+            assert evaluated == 500
+            continue
+        # the pass ends at the first chunk boundary where stop values reach the floor
+        ends = [k for k in range(0, 500, chunk) if (reached[k - 1] if k else 0) >= stop]
+        assert evaluated == (ends[0] if ends else 500)

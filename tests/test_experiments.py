@@ -5,9 +5,9 @@ import re
 import numpy as np
 import pytest
 
-from spheresym import RngStream, Sample, experiments, run_test
+from spheresym import RngStream, Sample, calibrate, core, experiments, run_test
 from spheresym.augment import CENTER_MODES
-from spheresym.distributions import Contaminated, Gaussian, LpSymmetric, Spiked, SphericalT, Subsample
+from spheresym.distributions import Contaminated, Gaussian, LpSymmetric, Spiked, SphericalT, Subsample, sample
 from spheresym.experiments import (
     CSV_COLUMNS,
     Cell,
@@ -120,7 +120,7 @@ def test_run_subsample_study(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="outside"):
         run_subsample_study(str(p), (61,), R=1)
     # a bad later size is refused before the first cell runs
-    monkeypatch.setattr(experiments, "run_test", None)
+    monkeypatch.setattr(experiments, "_rejects", None)
     with pytest.raises(ValueError, match="outside"):
         run_subsample_study(str(p), (10, 61), R=1)
 
@@ -133,13 +133,16 @@ def test_subsample_study_replication_streams(tmp_path, monkeypatch, center_mode)
     np.savetxt(p, np.random.default_rng(8).standard_normal((30, 2)) + [0.4, 0.0], delimiter=",")
     data = load_csv_matrix(str(p))
     sizes, R, B, seed = (8, 15), 6, 40, 3
-    seen = []
+    seen, rejects = [], experiments._rejects
 
-    def recording_run_test(*args, **kwargs):
+    def recording_rejects(*args, **kwargs):
+        # the study's decision routine takes run_test's arguments and gives its decision
         seen.append(run_test(*args, **kwargs))
-        return seen[-1]
+        decision = rejects(*args, **kwargs)
+        assert decision == seen[-1].reject
+        return decision
 
-    monkeypatch.setattr(experiments, "run_test", recording_run_test)
+    monkeypatch.setattr(experiments, "_rejects", recording_rejects)
     recs = run_subsample_study(str(p), sizes, R=R, B=B, seed=seed, center_mode=center_mode)
 
     expected, outcomes = [], []
@@ -154,6 +157,46 @@ def test_subsample_study_replication_streams(tmp_path, monkeypatch, center_mode)
                                     R=R, B=B, alpha=0.05, rejections=rejections, seed=seed))
     assert recs == expected
     assert seen == outcomes
+
+
+# (n, alpha, B, tile, center): every n <= TILE pass is one task and may stop
+# early; tile 128 makes n = 300 a pass of six tasks, which runs in full
+_STOPPED_STUDY_CASES = [
+    (40, 0.05, 500, 512, "none"),
+    (40, 0.01, 99, 512, "none"),
+    (40, 0.1, 19, 512, "none"),
+    (40, 0.05, 1, 512, "none"),
+    (300, 0.05, 500, 512, "none"),
+    (300, 0.01, 500, 512, "none"),
+    (300, 0.1, 99, 512, "none"),
+    (300, 0.05, 19, 512, "spatial-median"),
+    (500, 0.05, 500, 512, "none"),
+    (500, 0.1, 500, 512, "none"),
+    (500, 0.01, 99, 512, "none"),
+    (300, 0.05, 500, 128, "none"),
+    (300, 0.1, 99, 128, "none"),
+]
+
+
+@pytest.mark.parametrize("n, alpha, B, tile, center_mode", _STOPPED_STUDY_CASES)
+def test_study_rejections_are_run_tests_decisions(monkeypatch, n, alpha, B, tile, center_mode):
+    monkeypatch.setattr(core, "TILE", tile)
+    cells = (Cell(Gaussian(d=5), n), Cell(pitman_spec(n, 0.0), n), Cell(Gaussian(d=5, rho=0.3), n))
+    config = ExperimentConfig(name="stop", cells=cells, R=5, B=B, alpha=alpha, seed=7,
+                              center_mode=center_mode)
+    decisions = []
+    for ci, cell in enumerate(cells):
+        for r in range(config.R):
+            rep = RngStream(config.seed, (ci, r))
+            data = sample(cell.spec, n, rep.child(0))
+            decisions.append(run_test(data, rep.child(1), alpha=alpha, B=B, center_mode=center_mode).reject)
+    got = [rec.rejections for rec in run_power_study(config)]
+    assert got == [sum(decisions[ci * config.R:(ci + 1) * config.R]) for ci in range(len(cells))]
+    # both decisions occur wherever a count can reject, so both are compared
+    if calibrate._stop_count(B, alpha) > 0:
+        assert 0 < sum(decisions) < len(decisions)
+    else:
+        assert not any(decisions)
 
 
 def test_write_records_outputs(tmp_path):
