@@ -49,7 +49,7 @@ class SpatialMedianResult:
     point: np.ndarray
     converged: bool
     n_iter: int
-    objective: tuple[float, ...]  # objective value after each iterate
+    objective: float  # sum_i ||X_i - point||
 
 
 def spatial_median(sample: Sample, tol: float = 1e-8, max_iter: int = 10_000) -> SpatialMedianResult:
@@ -65,11 +65,10 @@ def spatial_median(sample: Sample, tol: float = 1e-8, max_iter: int = 10_000) ->
     x = sample.data
     n = x.shape[0]
     if n == 1:
-        return SpatialMedianResult(x[0].copy(), True, 0, (0.0,))
+        return SpatialMedianResult(x[0].copy(), True, 0, 0.0)
 
     theta = x.mean(axis=0)
     anchor_eps = 1e-12 * max(1.0, float(np.abs(x).max()))
-    objective = []
     diff = x - theta
     dist = np.linalg.norm(diff, axis=1)
     for it in range(1, max_iter + 1):
@@ -79,8 +78,7 @@ def spatial_median(sample: Sample, tol: float = 1e-8, max_iter: int = 10_000) ->
 
         if eta == n:
             # all points coincide with the iterate
-            objective.append(float(dist.sum()))
-            return SpatialMedianResult(theta, True, it, tuple(objective))
+            return SpatialMedianResult(theta, True, it, float(dist.sum()))
 
         w = 1.0 / dist[away]
         r_vec = (diff[away] * w[:, None]).sum(axis=0)
@@ -92,8 +90,7 @@ def spatial_median(sample: Sample, tol: float = 1e-8, max_iter: int = 10_000) ->
         else:
             if r <= eta:
                 # the anchor point is the minimizer
-                objective.append(float(dist.sum()))
-                return SpatialMedianResult(theta, True, it, tuple(objective))
+                return SpatialMedianResult(theta, True, it, float(dist.sum()))
             lam = eta / r
             new_theta = (1.0 - lam) * t_map + lam * theta
 
@@ -101,24 +98,23 @@ def spatial_median(sample: Sample, tol: float = 1e-8, max_iter: int = 10_000) ->
         # the next step's differences and distances, also used for the stopping test
         diff = x - theta
         dist = np.linalg.norm(diff, axis=1)
-        objective.append(float(dist.sum()))
         grad = -diff / np.maximum(dist, anchor_eps)[:, None]
         if np.linalg.norm(grad.sum(axis=0)) <= tol:
-            return SpatialMedianResult(theta, True, it, tuple(objective))
+            return SpatialMedianResult(theta, True, it, float(dist.sum()))
 
-    return SpatialMedianResult(theta, False, max_iter, tuple(objective))
+    return SpatialMedianResult(theta, False, max_iter, float(dist.sum()))
 
 
-def center(sample: Sample, mode: str = "none", tol: float = 1e-8, max_iter: int = 10_000) -> Sample:
+def center(sample: Sample, mode: str = "none") -> Sample:
     """Return the sample unchanged or shifted by its spatial median."""
     if mode == "none":
         return sample
     if mode == "spatial-median":
-        med = spatial_median(sample, tol=tol, max_iter=max_iter)
+        med = spatial_median(sample)
         if not med.converged:
             warnings.warn(
-                f"spatial median did not converge in {med.n_iter} iterations "
-                f"(tol={tol}); centering uses the last iterate",
+                f"spatial median did not converge in {med.n_iter} iterations; "
+                "centering uses the last iterate",
                 RuntimeWarning,
                 stacklevel=2,
             )

@@ -19,7 +19,7 @@ builds its blocks of G (:func:`gram_tile`) into a store, then streams the
 sign rows through them in chunks and takes each block's share
 s_R^T G_RC s_C of every form (doubled off the diagonal).  The tasks run
 through ``threads.fan_out`` on as many threads as numpy's BLAS is set to
-use, with BLAS held at one thread while more than one runs, and the shares
+use, which holds BLAS at one thread while more than one runs, and the shares
 are summed in block order, so past one tile the values are the same bit
 for bit on any thread count (a one-tile pass runs its products on BLAS's
 own threads).  Besides the B x n signs, one byte each, and B + 1 shares
@@ -43,7 +43,6 @@ process that imports this package (:func:`_load_sqeuclidean`).
 
 from __future__ import annotations
 
-import contextlib
 import importlib.machinery
 import importlib.util
 import os
@@ -52,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .threads import blas_threads, fan_out, thread_limit
+from .threads import blas_threads, fan_out
 
 TILE = 512  # rows per Gram tile, one fan-out task per upper tile pair; at n <= TILE, one task
 BLOCK = 128  # rows per block of a diagonal tile, which is built as its upper blocks
@@ -334,8 +333,7 @@ def swap_values(aug: AugmentedSample, signs: np.ndarray | None = None, stop: int
     thread's float64 panel, and every kept block writes its shares of that
     chunk's forms.  Shares off the diagonal are doubled, for the mirror
     block.  Each block's shares go to its own row of a (blocks x (B + 1))
-    array, summed in block order.  While more than one thread builds tiles,
-    BLAS is held at one thread.  A value outside [-2, 2] is refused.
+    array, summed in block order.  A value outside [-2, 2] is refused.
 
     With ``stop``, a one-task pass (n <= ``TILE``) ends between chunks once
     ``stop`` of the values it has evaluated reach the observed value's tie
@@ -391,9 +389,7 @@ def swap_values(aug: AugmentedSample, signs: np.ndarray | None = None, stop: int
                 reached += int(np.count_nonzero(_statistics(shares[:, 1 + lo:1 + hi], n) >= floor))
                 evaluated = hi
 
-    hold = thread_limit(1) if workers > 1 else None
-    with hold or contextlib.nullcontext():
-        fan_out(share, tasks, buffers)
+    fan_out(share, tasks, buffers)
     return _statistics(shares[:, : 1 + evaluated], n)
 
 

@@ -60,7 +60,7 @@ class SphericalT:
 
 @dataclass(frozen=True)
 class LpSymmetric:
-    """X = R * Y / ||Y||_p with R ~ Unif(r_low, r_high).
+    """X = R * Y / ||Y||_p with R ~ Unif(9, 10).
 
     p = inf: Y uniform on the unit hypercube (sup-norm direction).
     p = 1:   Y with independent standard Laplace coordinates.
@@ -68,14 +68,12 @@ class LpSymmetric:
 
     d: int
     p: float  # 1 or math.inf
-    r_low: float = 9.0
-    r_high: float = 10.0
 
     def __post_init__(self):
+        if self.d < 1:
+            raise ValueError(f"d must be >= 1, got {self.d}")
         if self.p not in (1, math.inf):
             raise ValueError(f"p must be 1 or inf, got {self.p}")
-        if not (0 <= self.r_low < self.r_high):
-            raise ValueError("need 0 <= r_low < r_high")
 
 
 @dataclass(frozen=True)
@@ -206,7 +204,7 @@ def _sample_rows(spec: DistributionSpec, n: int, gen: np.random.Generator) -> np
         return z / np.sqrt(w / spec.nu)[:, None]
 
     if isinstance(spec, LpSymmetric):
-        r = gen.uniform(spec.r_low, spec.r_high, size=n)
+        r = gen.uniform(9.0, 10.0, size=n)
         if spec.p == math.inf:
             y = gen.uniform(-1.0, 1.0, size=(n, d))
             norms = np.abs(y).max(axis=1)

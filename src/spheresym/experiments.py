@@ -233,25 +233,6 @@ def subsample_config(
     )
 
 
-def run_subsample_study(
-    csv_path: str,
-    subsample_sizes: tuple[int, ...],
-    R: int = 200,
-    B: int = DEFAULT_B,
-    alpha: float = DEFAULT_ALPHA,
-    seed: int = 0,
-    center_mode: str = "spatial-median",
-    has_header: bool = False,
-) -> list[PowerRecord]:
-    """Rejection fraction over random without-replacement subsamples."""
-    data = load_csv_matrix(csv_path, has_header=has_header)
-    return run_power_study(
-        subsample_config(
-            data, os.path.basename(csv_path), subsample_sizes, R, B, alpha, seed, center_mode
-        )
-    )
-
-
 def write_records(records: list[PowerRecord], out_prefix: str, config_echo: dict | None = None) -> tuple[str, str]:
     """Write <prefix>.csv (plot-ready) and <prefix>.json (audit)."""
     out_dir = os.path.dirname(out_prefix)

@@ -4,8 +4,9 @@
 resampling pass over the Gram tiles and the Gaussian Haar oracle read the
 same count through :func:`blas_threads` and run their work through
 :func:`fan_out`, so one setting (or ``OPENBLAS_NUM_THREADS``) caps all
-three.  :func:`fan_out` is the
-only place in the package that starts threads.
+three.  :func:`fan_out` is the only place in the package that starts
+threads, and it holds numpy's OpenBLAS at one thread while its pool runs,
+so pool threads and BLAS threads never compete for the cores.
 """
 
 from __future__ import annotations
@@ -76,8 +77,10 @@ def fan_out(work, tasks, states) -> None:
     """Run ``work(state, task)`` for every task, on one thread per state, at most one per task.
 
     Threads take the next task from one shared queue as they finish one, so
-    no task may be None.  A single state runs the tasks in order on the
-    calling thread, with no pool.  An exception from ``work`` propagates.
+    no task may be None.  While the pool runs, numpy's OpenBLAS is held at
+    one thread where its count can be set.  A single state runs the tasks in
+    order on the calling thread, with no pool and BLAS's count untouched.
+    An exception from ``work`` propagates.
     """
     states = states[: len(tasks)]
     if len(states) <= 1:
@@ -92,5 +95,7 @@ def fan_out(work, tasks, states) -> None:
         for task in iter(todo.get, None):
             work(state, task)
 
-    with ThreadPoolExecutor(len(states)) as pool:
+    controls = openblas_thread_controls()
+    hold = contextlib.nullcontext() if controls is None else _openblas_limit(1, *controls)
+    with hold, ThreadPoolExecutor(len(states)) as pool:
         list(pool.map(drain, states))

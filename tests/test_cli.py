@@ -180,6 +180,16 @@ def test_simulate_invalid_config_value_exits_2(tmp_path, capsys, line, message):
     assert message in capsys.readouterr().err
 
 
+def test_simulate_lp_with_d_0_exits_2_before_any_cell_runs(tmp_path, capsys):
+    cfg = tmp_path / "lp.cfg"
+    out = tmp_path / "lp"
+    cfg.write_text(f"name = lp\nR = 2\nB = 20\noutput = {out}\n"
+                   "cell = gaussian(rho=0,d=2) n=10\ncell = lp(p=1,d=0) n=10\n")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "d must be >= 1, got 0" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["lp.cfg"]
+
+
 def test_pitman_command(tmp_path, capsys):
     out = tmp_path / "pitman"
     rc = main(["pitman", "--gamma", "0", "--n-grid", "50", "--R", "3", "--B", "30",

@@ -457,20 +457,20 @@ def test_mc_pvalue_never_allocates_the_dense_gram():
     assert peak < 8 * n * n
 
 
-def test_zeta_hat_n2_hand_value():
+def test_observed_statistic_n2_hand_value():
     o, v = _pairs_n2()
     aug = AugmentedSample(original=Sample(o), variant=v)
     assert swap_statistic(aug, np.ones(2)) == pytest.approx(G_HAND, abs=1e-12)
 
 
-def test_zeta_hat_zero_when_variant_equals_original():
+def test_observed_statistic_zero_when_variant_equals_original():
     rng = np.random.default_rng(4)
     data = rng.standard_normal((10, 3))
     aug = AugmentedSample(original=Sample(data), variant=data.copy())
     assert swap_statistic(aug, np.ones(10)) == 0.0
 
 
-def test_zeta_hat_duplicated_dataset_against_naive():
+def test_observed_statistic_duplicated_dataset_against_naive():
     o, v = _pairs_n2()
     o4 = np.vstack([o, o])
     v4 = np.vstack([v, v])
@@ -478,7 +478,7 @@ def test_zeta_hat_duplicated_dataset_against_naive():
     assert swap_statistic(aug, np.ones(4)) == pytest.approx(naive_zeta(o4, v4), abs=1e-12)
 
 
-def test_zeta_hat_requires_two_rows():
+def test_observed_statistic_requires_two_rows():
     s = Sample(np.array([[1.0, 0.0]]))
     aug = augment(s, RngStream(0))
     with pytest.raises(ValueError, match="at least two"):
@@ -492,7 +492,7 @@ def test_zeta_hat_kept_for_the_benchmark_is_the_all_ones_swap_statistic(n):
     assert zeta_hat(aug, build_gram(aug)).value == swap_statistic(aug, np.ones(n))
 
 
-def test_zeta_hat_cache_equals_naive_recomputation():
+def test_observed_statistic_equals_naive_recomputation():
     rng = np.random.default_rng(6)
     for trial in range(5):
         s = Sample(rng.standard_normal((12, 3)))
@@ -502,7 +502,7 @@ def test_zeta_hat_cache_equals_naive_recomputation():
         )
 
 
-def test_zeta_hat_full_swap_invariance():
+def test_observed_statistic_full_swap_invariance():
     rng = np.random.default_rng(7)
     s = Sample(rng.standard_normal((8, 5)))
     aug = augment(s, RngStream(9))
@@ -512,7 +512,7 @@ def test_zeta_hat_full_swap_invariance():
     assert v1 == pytest.approx(v2, abs=1e-14)
 
 
-def test_zeta_hat_rotation_invariance():
+def test_observed_statistic_rotation_invariance():
     rng = np.random.default_rng(8)
     s = Sample(rng.standard_normal((10, 4)))
     aug = augment(s, RngStream(10))
@@ -527,7 +527,7 @@ def test_zeta_hat_rotation_invariance():
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 6))
-def test_zeta_hat_bounded(seed, n, d):
+def test_observed_statistic_bounded(seed, n, d):
     rng = np.random.default_rng(seed)
     s = Sample(rng.standard_normal((n, d)))
     aug = augment(s, RngStream(seed))

@@ -71,8 +71,8 @@ def test_lp_one_norm_in_band():
 def test_lp_validation():
     with pytest.raises(ValueError):
         LpSymmetric(d=3, p=2)
-    with pytest.raises(ValueError):
-        LpSymmetric(d=3, p=1, r_low=5, r_high=4)
+    with pytest.raises(ValueError, match="d must be >= 1, got 0"):
+        LpSymmetric(d=0, p=1)
 
 
 def test_angular_symmetric_radius_regions():

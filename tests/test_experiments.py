@@ -21,7 +21,7 @@ from spheresym.experiments import (
     pitman_spec,
     run_pitman_study,
     run_power_study,
-    run_subsample_study,
+    subsample_config,
     write_records,
 )
 
@@ -112,17 +112,21 @@ def test_run_subsample_study(tmp_path, monkeypatch):
     data = gen.standard_normal((60, 3)) + [5.0, 0.0, 0.0]  # off-center
     p = tmp_path / "data.csv"
     np.savetxt(p, data, delimiter=",")
-    recs = run_subsample_study(str(p), (10, 20), R=5, B=40, seed=2)
+
+    def study(sizes, **kwargs):  # as the subsample command runs one
+        return run_power_study(subsample_config(load_csv_matrix(str(p)), "data.csv", sizes, **kwargs))
+
+    recs = study((10, 20), R=5, B=40, seed=2)
     assert [rec.n for rec in recs] == [10, 20]
     assert recs[0].d == 3
-    again = run_subsample_study(str(p), (10, 20), R=5, B=40, seed=2)
+    again = study((10, 20), R=5, B=40, seed=2)
     assert recs == again
     with pytest.raises(ValueError, match="outside"):
-        run_subsample_study(str(p), (61,), R=1)
+        study((61,), R=1)
     # a bad later size is refused before the first cell runs
     monkeypatch.setattr(experiments, "_rejects", None)
     with pytest.raises(ValueError, match="outside"):
-        run_subsample_study(str(p), (10, 61), R=1)
+        study((10, 61), R=1)
 
 
 @pytest.mark.parametrize("center_mode", CENTER_MODES)
@@ -143,7 +147,9 @@ def test_subsample_study_replication_streams(tmp_path, monkeypatch, center_mode)
         return decision
 
     monkeypatch.setattr(experiments, "_rejects", recording_rejects)
-    recs = run_subsample_study(str(p), sizes, R=R, B=B, seed=seed, center_mode=center_mode)
+    config = subsample_config(load_csv_matrix(str(p)), "data.csv", sizes, R=R, B=B, seed=seed,
+                              center_mode=center_mode)
+    recs = run_power_study(config)
 
     expected, outcomes = [], []
     for ci, size in enumerate(sizes):

@@ -80,6 +80,17 @@ def test_fan_out_never_shares_a_state_between_threads():
     assert sum(state["done"] for state in states) == 400
 
 
+def test_fan_out_holds_openblas_at_one_thread_while_its_pool_runs(monkeypatch):
+    count = [4]
+    monkeypatch.setattr(threads, "openblas_thread_controls",
+                        lambda: (lambda: count[0], lambda k: count.__setitem__(0, k)))
+    for states, inside in [(1, 4), (2, 1), (3, 1)]:  # one state runs with no pool and no hold
+        seen = []
+        fan_out(lambda state, task: seen.append(count[0]), list(range(20)), list(range(states)))
+        assert seen == [inside] * 20
+        assert count == [4]
+
+
 @pytest.mark.parametrize("failing", [{7}, set(range(20))])
 @pytest.mark.parametrize("states", [1, 2])
 def test_fan_out_propagates_an_exception_and_returns(states, failing):
