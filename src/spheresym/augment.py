@@ -74,27 +74,26 @@ def spatial_median(sample: Sample, tol: float = 1e-8, max_iter: int = 10_000) ->
     for it in range(1, max_iter + 1):
         at_anchor = dist < anchor_eps
         eta = int(at_anchor.sum())
-        away = ~at_anchor
 
         if eta == n:
             # all points coincide with the iterate
             return SpatialMedianResult(theta, True, it, float(dist.sum()))
 
-        w = 1.0 / dist[away]
-        r_vec = (diff[away] * w[:, None]).sum(axis=0)
-        r = float(np.linalg.norm(r_vec))
-        t_map = (x[away] * w[:, None]).sum(axis=0) / w.sum()
-
         if eta == 0:
-            new_theta = t_map
+            # no row at the iterate, so no mask copies; order="C" sums the rows
+            # in the order a masked copy (always C-ordered) would, for any layout of x
+            w = 1.0 / dist
+            theta = np.multiply(x, w[:, None], order="C").sum(axis=0) / w.sum()
         else:
+            away = ~at_anchor
+            w = 1.0 / dist[away]
+            r = float(np.linalg.norm((diff[away] * w[:, None]).sum(axis=0)))
             if r <= eta:
                 # the anchor point is the minimizer
                 return SpatialMedianResult(theta, True, it, float(dist.sum()))
+            t_map = (x[away] * w[:, None]).sum(axis=0) / w.sum()
             lam = eta / r
-            new_theta = (1.0 - lam) * t_map + lam * theta
-
-        theta = new_theta
+            theta = (1.0 - lam) * t_map + lam * theta
         # the next step's differences and distances, also used for the stopping test
         diff = x - theta
         dist = np.linalg.norm(diff, axis=1)

@@ -72,6 +72,11 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
+def _check_enum_size(n: int) -> None:
+    if n > ENUM_LIMIT:
+        raise ValueError(f"exact enumeration needs n <= {ENUM_LIMIT} (2^n resamples); got n = {n}")
+
+
 def cutoff_bound(n: int, alpha: float) -> float:
     """Deterministic bound 2 / (alpha (n - 1)) on the resampling cutoff."""
     return 2.0 / (alpha * (n - 1))
@@ -152,10 +157,7 @@ def exact_pvalue(aug: AugmentedSample, alpha: float = DEFAULT_ALPHA) -> TestOutc
     """
     _check_alpha(alpha)
     n = aug.n
-    if n > ENUM_LIMIT:
-        raise ValueError(
-            f"exact enumeration needs n <= {ENUM_LIMIT} (2^n resamples); got n = {n}"
-        )
+    _check_enum_size(n)
     g, obs = one_tile(aug)
     a = (n + 1) // 2  # A = pairs 0..a-1, B = pairs a..n-1; pair a-1 is kept
     half = 1 << (a - 1)  # the rows of A's sign table that keep pair a-1

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .augment import CENTER_MODES
-from .calibrate import DEFAULT_ALPHA, DEFAULT_B, ENUM_LIMIT, run_test
+from .calibrate import DEFAULT_ALPHA, DEFAULT_B, ENUM_LIMIT, _check_enum_size, run_test
 from .core import Sample
 from .distributions import describe
 from .experiments import (
@@ -104,6 +104,12 @@ def cmd_test(args) -> int:
     if args.B < 1:
         print(f"error: B must be >= 1, got {args.B}", file=sys.stderr)
         return 2
+    if args.exact:
+        try:
+            _check_enum_size(len(data))
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     outcome = run_test(
         Sample(data),
         RngStream(args.seed),

@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import os
+import warnings
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -187,10 +188,38 @@ def run_pitman_study(
 
 
 def load_csv_matrix(path: str, has_header: bool = False) -> np.ndarray:
-    """Parse a numeric CSV into an n x d matrix with line-numbered errors."""
+    """Parse a numeric CSV into an n x d matrix with line-numbered errors.
+
+    numpy's C parser reads the file.  A file it refuses or finds empty goes
+    through the line reader, which accepts a few spellings numpy refuses
+    (``1_0``, whitespace-only lines, quoted fields) and names the file line of
+    a refusal, where numpy's messages count data rows from 0.
+    """
+    try:
+        # an open handle, not the path: numpy would also fetch URLs and unpack .gz files
+        with open(path, encoding="utf-8-sig") as fh:
+            text = fh.read()
+            # The readers differ only here: numpy strips \x1c-\x1f as whitespace
+            # where float() refuses them, and csv unquotes fields and joins quoted lines.
+            if not any(c in text for c in '"\x1c\x1d\x1e\x1f'):
+                del text
+                fh.seek(0)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                    data = np.loadtxt(fh, delimiter=",", skiprows=int(has_header), ndmin=2,
+                                      comments=None, dtype=float)
+                if len(data):
+                    return data
+    except ValueError:  # not UTF-8, or refused: the line reader names the line
+        pass
+    return _read_csv_lines(path, has_header)
+
+
+def _read_csv_lines(path: str, has_header: bool) -> np.ndarray:
+    """The line reader: one ``float()`` per field, refusals by file line."""
     rows = []
     width = None
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if has_header and lineno == 1:

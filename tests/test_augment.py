@@ -108,6 +108,63 @@ def test_spatial_median_anchor_at_data_point():
     assert res.converged
 
 
+def _masked_weiszfeld(x, tol=1e-8, max_iter=10_000):
+    """The Weiszfeld iteration with boolean-mask copies on every step, the
+    reference for ``spatial_median``'s unmasked step; also reports whether
+    any step had rows at the iterate."""
+    n = x.shape[0]
+    theta = x.mean(axis=0)
+    anchor_eps = 1e-12 * max(1.0, float(np.abs(x).max()))
+    diff = x - theta
+    dist = np.linalg.norm(diff, axis=1)
+    anchored = False
+    for it in range(1, max_iter + 1):
+        at_anchor = dist < anchor_eps
+        eta = int(at_anchor.sum())
+        away = ~at_anchor
+        anchored |= eta > 0
+        if eta == n:
+            return theta, True, it, float(dist.sum()), anchored
+        w = 1.0 / dist[away]
+        r = float(np.linalg.norm((diff[away] * w[:, None]).sum(axis=0)))
+        t_map = (x[away] * w[:, None]).sum(axis=0) / w.sum()
+        if eta == 0:
+            theta = t_map
+        else:
+            if r <= eta:
+                return theta, True, it, float(dist.sum()), anchored
+            lam = eta / r
+            theta = (1.0 - lam) * t_map + lam * theta
+        diff = x - theta
+        dist = np.linalg.norm(diff, axis=1)
+        grad = -diff / np.maximum(dist, anchor_eps)[:, None]
+        if np.linalg.norm(grad.sum(axis=0)) <= tol:
+            return theta, True, it, float(dist.sum()), anchored
+    return theta, False, max_iter, float(dist.sum()), anchored
+
+
+def test_spatial_median_same_bits_as_the_masked_iteration():
+    rng = np.random.default_rng(20)
+    anchored = 0
+    for case in range(60):
+        n, d = int(rng.integers(2, 3001)), int(rng.integers(1, 41))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        x = scale * (rng.standard_normal((n, d)) + rng.standard_normal(d))
+        if case % 4 == 1:
+            x[rng.random(n) < 0.8] = x[0]  # most rows coincide: the iterate lands on them
+        elif case % 4 == 2:
+            x = np.asfortranarray(x)
+        elif case % 4 == 3:
+            x = np.repeat(x, 2, axis=0)[::2]  # a strided view
+        point, converged, n_iter, objective, hit = _masked_weiszfeld(x)
+        res = spatial_median(Sample(x))
+        assert res.point.tobytes() == point.tobytes(), case
+        assert (res.converged, res.n_iter) == (converged, n_iter), case
+        assert np.float64(res.objective).tobytes() == np.float64(objective).tobytes(), case
+        anchored += hit
+    assert anchored >= 10  # the rows-at-the-iterate branch ran
+
+
 def test_spatial_median_rejects_bad_tol():
     with pytest.raises(ValueError):
         spatial_median(Sample(np.zeros((2, 2))), tol=0.0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spheresym import cli, core, threads
+from spheresym.calibrate import ENUM_LIMIT
 from spheresym.cli import main
 
 
@@ -46,6 +47,30 @@ def test_test_command_exact(tmp_path, capsys):
     out = capsys.readouterr().out
     p = float(out.splitlines()[1].split()[1])
     assert p >= 2.0 ** (1 - 8)
+
+
+def test_test_command_reads_a_csv_with_a_utf8_byte_order_mark(tmp_path, capsys):
+    # Excel's "CSV UTF-8" starts the file with a BOM
+    path = _write_data(tmp_path)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert main(["test", "--input", str(path), "--B", "50"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["test", "--input", str(bom), "--B", "50"]) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_test_command_exact_beyond_the_enumeration_limit_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_test", lambda *a, **k: pytest.fail("the test ran"))
+    path = _write_data(tmp_path, n=ENUM_LIMIT + 1, d=2)
+    assert main(["test", "--input", str(path), "--exact"]) == 2
+    err = capsys.readouterr().err
+    assert f"exact enumeration needs n <= {ENUM_LIMIT} (2^n resamples); got n = {ENUM_LIMIT + 1}" in err
+    # the file is read first: one that cannot be parsed still exits 1
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1,2\n" * (ENUM_LIMIT + 1) + "3,x\n")
+    assert main(["test", "--input", str(bad), "--exact"]) == 1
+    assert "non-numeric field" in capsys.readouterr().err
 
 
 def test_test_command_missing_input(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,128 @@ def test_load_csv_matrix(tmp_path):
     p.write_text("\n")
     with pytest.raises(ValueError, match="no data"):
         load_csv_matrix(str(p))
+
+
+def _outcome(read, path, has_header):
+    """A reader's matrix as (shape, bytes), or its refusal as (type, message)."""
+    try:
+        m = read(str(path), has_header)
+    except (OSError, ValueError) as exc:
+        return type(exc), str(exc)
+    assert m.dtype == np.float64 and m.ndim == 2 and m.flags.c_contiguous
+    return m.shape, m.tobytes()
+
+
+def _write(path, text):
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def _matrix_text(m, fmt, newline="\n", blanks=()):
+    lines = [",".join(fmt(v) for v in row) for row in m]
+    for at in sorted(blanks, reverse=True):
+        lines.insert(at, "")
+    return newline.join(lines) + newline
+
+
+@pytest.mark.parametrize("fmt", ["%.17g", "repr", "%.6e", "int", "extremes"])
+@pytest.mark.parametrize("header", [False, True])
+def test_load_csv_matrix_same_bits_as_the_line_reader(tmp_path, fmt, header):
+    rng = np.random.default_rng([ord(c) for c in fmt])
+    for case in range(6):
+        n, d = int(rng.integers(1, 60)), int(rng.integers(1, 12))
+        m = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-5, 5)
+        if fmt == "int":
+            m = np.round(m * 1000) + 0.0  # str(int(-0.0)) is "0"
+        if fmt == "extremes":
+            pool = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308,
+                    1.7976931348623157e308, -1.7976931348623157e308]
+            m.flat[rng.integers(0, m.size, size=m.size // 2 + 1)] = rng.choice(pool, size=m.size // 2 + 1)
+        to_text = {"repr": lambda v: repr(float(v)), "int": lambda v: str(int(v)),
+                   "%.6e": lambda v: "%.6e" % v}.get(fmt, lambda v: "%.17g" % v)
+        blanks = rng.integers(0, n + 1, size=case % 3)
+        text = _matrix_text(m, to_text, newline=["\n", "\r\n"][case % 2], blanks=blanks)
+        if header:
+            text = ",".join(f"c{j}" for j in range(d)) + "\n" + text
+        path = _write(tmp_path / f"m{case}.csv", text)
+        got = _outcome(load_csv_matrix, path, header)
+        assert got == _outcome(experiments._read_csv_lines, path, header)
+        if fmt != "%.6e":
+            assert got == (m.shape, m.tobytes())  # these spellings round-trip exactly
+
+
+@pytest.mark.parametrize("text, header, expected", [
+    ("1,2\n3,x\n", False, "line 2: non-numeric field"),
+    ("1,2\n\n\n3,x\n", False, "line 4: non-numeric field"),
+    ("1,2\n3\n", False, "line 2: expected 2 fields, got 1"),
+    ("1,2\n3,4,\n", False, "line 2: non-numeric field"),
+    ("a,b\n1,2\n", False, "line 1: non-numeric field"),
+    ("#c\n1,2\n", False, "line 1: non-numeric field"),
+    ("1,2\n\x1c3,4\n", False, "line 2: non-numeric field"),
+    ('"1",2\n3,"4"\n', False, [[1, 2], [3, 4]]),
+    ('"a\nb",c\n1,2\n', True, [[1, 2]]),
+    ('"a,b\n1,2\n3,4\n', True, "no data rows"),
+    ("1_0,2\n", False, [[10, 2]]),
+    ("1,2\n   \n3,4\n", False, [[1, 2], [3, 4]]),
+    ("\ufeff1.5,2\n", False, [[1.5, 2]]),
+    ("\ufeffa,b\n1,2\n", True, [[1, 2]]),
+    ("a,b\n", True, "no data rows"),
+    ("a,b\n\n", True, "no data rows"),
+    ("", False, "no data rows"),
+    ("\n\n", False, "no data rows"),
+], ids=["non-numeric", "non-numeric-after-blanks", "ragged", "trailing-comma", "no-header-flag",
+        "hash", "file-separator", "quoted", "quoted-header-line-break",
+        "unclosed-quote-in-header", "underscore",
+        "whitespace-line", "bom", "bom-header", "header-only", "header-and-blank", "empty",
+        "blank-only"])
+def test_load_csv_matrix_gives_the_line_readers_outcome(tmp_path, text, header, expected):
+    path = _write(tmp_path / "m.csv", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "input contained no data" must not escape
+        got = _outcome(load_csv_matrix, path, header)
+    assert got == _outcome(experiments._read_csv_lines, path, header)
+    if isinstance(expected, str):
+        assert got[0] is ValueError and f"{path}: {expected}" in got[1]
+    else:
+        assert got == (np.shape(expected), np.asarray(expected, dtype=float).tobytes())
+
+
+def test_load_csv_matrix_same_outcome_as_the_line_reader_on_random_text(tmp_path):
+    # numbers, separators and the characters where numpy's parser and csv + float() part ways
+    tokens = ["1", "-2.5", "3e2", ".", "e", "-", "+", "_", "nan", "inf", "x", ",", ",", "\n", "\n",
+              "\r", "\r\n", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u3000",
+              "\u0661", "\x00", '"', "#", "\ufeff", "5e-324", "1e308"]
+    rng = np.random.default_rng(3)
+    path = tmp_path / "r.csv"
+    accepted = 0
+    for case in range(1500):
+        text = "".join(rng.choice(tokens, size=int(rng.integers(0, 16))))
+        _write(path, text)
+        header = bool(case % 3 == 0)
+        got = _outcome(load_csv_matrix, path, header)
+        assert got == _outcome(experiments._read_csv_lines, path, header), repr(text)
+        accepted += got[0] is not ValueError
+    assert accepted > 50
+
+
+def test_load_csv_matrix_runs_the_line_reader_only_on_refused_or_empty_files(tmp_path, monkeypatch):
+    calls = []
+    line_reader = experiments._read_csv_lines
+    monkeypatch.setattr(experiments, "_read_csv_lines", lambda *a: calls.append(a) or line_reader(*a))
+    assert load_csv_matrix(str(_write(tmp_path / "a.csv", "1,2\n\n3,4\n"))).shape == (2, 2)
+    assert calls == []
+    assert load_csv_matrix(str(_write(tmp_path / "b.csv", "1_0,2\n"))).shape == (1, 2)
+    with pytest.raises(ValueError, match="no data rows"):
+        load_csv_matrix(str(_write(tmp_path / "c.csv", "a,b\n")), has_header=True)
+    assert len(calls) == 2
+
+
+def test_load_csv_matrix_missing_file_raises_oserror(tmp_path):
+    missing = tmp_path / "nope.csv"
+    with pytest.raises(OSError, match="No such file or directory"):
+        load_csv_matrix(str(missing))
+    with pytest.raises(OSError, match="No such file or directory"):
+        experiments._read_csv_lines(str(missing), False)
 
 
 def test_run_subsample_study(tmp_path, monkeypatch):
