@@ -44,6 +44,13 @@ CENTER_HELP = ("'spatial-median' subtracts the sample's spatial median first, wh
                "0.000 at d = 10 and d = 100, against 0.037-0.075 at the true centre")
 
 
+def _add_input_flags(p: argparse.ArgumentParser):
+    p.add_argument("--input", required=True, help="CSV file, rows = observations")
+    p.add_argument("--header", action="store_true",
+                   help="skip the first CSV record; a quoted field may span lines, and an unclosed "
+                        "quote makes the whole file the header")
+
+
 def _add_common_test_flags(p: argparse.ArgumentParser):
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--B", type=int, default=DEFAULT_B)
@@ -53,14 +60,13 @@ def _add_common_test_flags(p: argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spheresym", description=__doc__)
     parser.add_argument("--threads", type=int, default=None,
-                        help="number of threads numpy's BLAS, the resampling pass over the Gram "
-                             "tiles and the Gaussian Haar oracle use during the command (needs threadpoolctl "
-                             "or numpy's bundled OpenBLAS)")
+                        help="number of threads the resampling pass over the Gram tiles and the Gaussian "
+                             "Haar oracle use, and numpy's BLAS outside them (inside them BLAS runs on one "
+                             "thread; needs threadpoolctl or numpy's bundled OpenBLAS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("test", help="test a CSV of observations for spherical symmetry")
-    p.add_argument("--input", required=True, help="CSV file, rows = observations")
-    p.add_argument("--header", action="store_true", help="skip a header row")
+    _add_input_flags(p)
     _add_common_test_flags(p)
     p.add_argument("--center", choices=CENTER_MODES, default="none", help=CENTER_HELP)
     p.add_argument("--exact", action="store_true",
@@ -85,8 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="results/pitman")
 
     p = sub.add_parser("subsample", help="subsampling study on a local CSV dataset")
-    p.add_argument("--input", required=True)
-    p.add_argument("--header", action="store_true")
+    _add_input_flags(p)
     p.add_argument("--sizes", type=int, nargs="+", required=True)
     p.add_argument("--R", type=int, default=200)
     _add_common_test_flags(p)

@@ -19,15 +19,14 @@ builds its blocks of G (:func:`gram_tile`) into a store, then streams the
 sign rows through them in chunks and takes each block's share
 s_R^T G_RC s_C of every form (doubled off the diagonal).  The tasks run
 through ``threads.fan_out`` on as many threads as numpy's BLAS is set to
-use, which holds BLAS at one thread while more than one runs, and the shares
-are summed in block order, so past one tile the values are the same bit
-for bit on any thread count (a one-tile pass runs its products on BLAS's
-own threads).  Besides the B x n signs, one byte each, and B + 1 shares
-per block, a pass needs per thread a store for one task's blocks (at most
-one tile's area), a scratch buffer for kernel blocks and products, and a
-float64 panel of at most ``PANEL`` signs per tile: O(B n) memory in all,
-n B bytes of it for the signs.  Each off-diagonal tile pair is evaluated once per
-pass, and each diagonal tile in upper 128-row blocks (``BLOCK``), for the
+use, which holds BLAS itself at one thread, and the shares are summed in
+block order, so the values are the same bit for bit on any thread count.
+Besides the B x n signs, one byte each, and B + 1 shares per block, a pass
+needs per thread a store for one task's blocks (at most one tile's area), a
+scratch buffer for kernel blocks and products, and a float64 panel of at
+most ``PANEL`` signs per tile: O(B n) memory in all, n B bytes of it for the
+signs.  Each off-diagonal tile pair is evaluated once per pass, and each
+diagonal tile in upper 128-row blocks (``BLOCK``), for the
 observed value and all B resamples together: about 2 n^2 + 128 n kernel
 entries and B (n^2 + 128 n) form flops per pass.  Every block is bit for
 bit the block of the matrix a full 2n x 2n kernel matrix over the stacked

@@ -54,8 +54,8 @@ class SphericalT:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.nu < 1:
-            raise ValueError(f"nu must be >= 1, got {self.nu}")
+        if not (1 <= self.nu < math.inf):
+            raise ValueError(f"nu must be finite and >= 1, got {self.nu}")
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,12 @@ class Spiked:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
+        try:
+            finite = math.isfinite(self.gamma) and math.isfinite(self.d ** (self.gamma / 2.0))
+        except OverflowError:  # the spike scale d ** (gamma / 2) that sample() multiplies by
+            finite = False
+        if not finite:
+            raise ValueError(f"gamma must be finite, with d ** (gamma / 2) inside float64, got {self.gamma}")
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
 """Thread counts of numpy's BLAS, and the one fan-out of work over threads.
 
-``--threads`` holds numpy's BLAS through :func:`thread_limit`, and the
-resampling pass over the Gram tiles and the Gaussian Haar oracle read the
-same count through :func:`blas_threads` and run their work through
-:func:`fan_out`, so one setting (or ``OPENBLAS_NUM_THREADS``) caps all
-three.  :func:`fan_out` is the only place in the package that starts
-threads, and it holds numpy's OpenBLAS at one thread while its pool runs,
-so pool threads and BLAS threads never compete for the cores.
+``--threads`` holds numpy's BLAS through :func:`thread_limit`; the resampling
+pass over the Gram tiles and the Gaussian Haar oracle take that count through
+:func:`blas_threads` as their thread count and run their work through
+:func:`fan_out`, so one setting (or ``OPENBLAS_NUM_THREADS``) caps both.
+:func:`fan_out`, the only place in the package that starts threads, holds
+numpy's OpenBLAS at one thread on every call, so no product's bits depend on
+the thread count and pool threads never compete with BLAS threads.
 """
 
 from __future__ import annotations
@@ -77,15 +77,17 @@ def fan_out(work, tasks, states) -> None:
     """Run ``work(state, task)`` for every task, on one thread per state, at most one per task.
 
     Threads take the next task from one shared queue as they finish one, so
-    no task may be None.  While the pool runs, numpy's OpenBLAS is held at
-    one thread where its count can be set.  A single state runs the tasks in
-    order on the calling thread, with no pool and BLAS's count untouched.
-    An exception from ``work`` propagates.
+    no task may be None; a single state runs them in order on the calling
+    thread, with no pool.  Either way numpy's OpenBLAS is held at one thread
+    meanwhile, where its count can be set.  An exception from ``work`` propagates.
     """
     states = states[: len(tasks)]
+    controls = openblas_thread_controls()
+    hold = contextlib.nullcontext() if controls is None else _openblas_limit(1, *controls)
     if len(states) <= 1:
-        for task in tasks:
-            work(states[0], task)
+        with hold:
+            for task in tasks:
+                work(states[0], task)
         return
     todo = queue.SimpleQueue()
     for task in [*tasks, *[None] * len(states)]:
@@ -95,7 +97,5 @@ def fan_out(work, tasks, states) -> None:
         for task in iter(todo.get, None):
             work(state, task)
 
-    controls = openblas_thread_controls()
-    hold = contextlib.nullcontext() if controls is None else _openblas_limit(1, *controls)
     with hold, ThreadPoolExecutor(len(states)) as pool:
         list(pool.map(drain, states))

@@ -92,6 +92,15 @@ def test_malformed_csv_exits_1(tmp_path, monkeypatch, capsys, argv):
     assert [p.name for p in tmp_path.iterdir()] == ["bad.csv"]
 
 
+def test_test_command_field_over_csvs_size_limit_exits_1(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    path.write_text("1,2\n" + "x" * 200_000 + ",3\n")
+    assert main(["test", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line 2: field larger than field limit")
+    assert len(err.splitlines()) == 1
+
+
 def test_test_command_bad_alpha_and_B(tmp_path, capsys):
     path = _write_data(tmp_path, seed=4)
     assert main(["test", "--input", str(path), "--alpha", "1.5"]) == 2
@@ -215,6 +224,19 @@ def test_simulate_lp_with_d_0_exits_2_before_any_cell_runs(tmp_path, capsys):
     assert [path.name for path in tmp_path.iterdir()] == ["lp.cfg"]
 
 
+@pytest.mark.parametrize("cell, message", [
+    ("spiked(gamma=inf,d=3)", "gamma must be finite"),
+    ("t(nu=inf,d=3)", "nu must be finite and >= 1"),
+], ids=["spiked", "t"])
+def test_simulate_infinite_parameter_exits_2_before_any_cell_runs(tmp_path, capsys, cell, message):
+    # such a family draws NaN or Inf, so the configuration is refused before any replication
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(f"name = inf\nR = 2\nB = 20\noutput = {tmp_path / 'inf'}\ncell = {cell} n=10\n")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["inf.cfg"]
+
+
 def test_pitman_command(tmp_path, capsys):
     out = tmp_path / "pitman"
     rc = main(["pitman", "--gamma", "0", "--n-grid", "50", "--R", "3", "--B", "30",
@@ -322,6 +344,20 @@ def test_threads_1_runs_without_a_thread_pool(command, tmp_path, monkeypatch, ca
     monkeypatch.setattr(threads, "ThreadPoolExecutor", _no_pool)
     assert main(["--threads", "1"] + argv) == 0
     assert capsys.readouterr().out == want
+
+
+def test_test_command_same_bytes_on_one_and_two_threads(tmp_path, capsys):
+    # n = 500 is one tile: one task on the calling thread, BLAS held at one thread
+    if threads.openblas_thread_controls() is None:
+        pytest.skip("numpy's OpenBLAS thread count cannot be read or set here")
+    path = _write_data(tmp_path, n=500, d=10, seed=8)
+    got = []
+    for k in ("1", "2"):
+        out_json = tmp_path / f"out{k}.json"
+        assert main(["--threads", k, "test", "--input", str(path), "--B", "500",
+                     "--output", str(out_json)]) == 0
+        got.append((capsys.readouterr().out, out_json.read_bytes()))
+    assert got[0] == got[1]
 
 
 def test_threads_holds_openblas_for_the_command(tmp_path, monkeypatch):

@@ -226,6 +226,21 @@ def test_swap_values_same_bits_on_one_and_two_threads():
     assert np.array_equal(values[0], values[1])
 
 
+@pytest.mark.parametrize("n", [100, 250, 500])
+def test_one_task_swap_values_same_bits_on_one_and_two_blas_threads(n):
+    # n <= TILE: one task, so the pass runs on the calling thread, with BLAS
+    # held at one thread all the same
+    if threads.openblas_thread_controls() is None:
+        pytest.skip("numpy's OpenBLAS thread count cannot be read or set here")
+    aug = _tiled_aug(n, 10)
+    signs = _signs(n, 500)
+    values = []
+    for k in (1, 2):
+        with threads.thread_limit(k):
+            values.append(core.swap_values(aug, signs))
+    assert np.array_equal(values[0], values[1])
+
+
 def _no_pool(*args):
     raise AssertionError("a thread pool started")
 

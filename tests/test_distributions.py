@@ -54,6 +54,12 @@ def test_spherical_t_validation():
         SphericalT(d=2, nu=0.5)
 
 
+@pytest.mark.parametrize("nu", [math.inf, math.nan])
+def test_spherical_t_refuses_a_nu_that_is_not_finite(nu):
+    with pytest.raises(ValueError, match="nu must be finite and >= 1"):
+        SphericalT(d=3, nu=nu)
+
+
 def test_lp_inf_norm_in_band():
     spec = LpSymmetric(d=6, p=math.inf)
     x = sample(spec, 5000, RngStream(3)).data
@@ -100,6 +106,13 @@ def test_mixture_means_and_dimension():
     assert x[:, 0].var() == pytest.approx(2.0, abs=0.05)
     with pytest.raises(ValueError):
         FourComponentMixture(d=4)
+
+
+# 3 ** (1293 / 2) is past float64's largest value, about 1.8e308
+@pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan, 1293.0])
+def test_spiked_refuses_a_gamma_whose_spike_scale_is_not_finite(gamma):
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        Spiked(d=3, gamma=gamma)
 
 
 def test_spiked_leading_variance():

@@ -192,6 +192,13 @@ def test_load_csv_matrix_gives_the_line_readers_outcome(tmp_path, text, header, 
         assert got == (np.shape(expected), np.asarray(expected, dtype=float).tobytes())
 
 
+def test_load_csv_matrix_refuses_a_field_over_csvs_size_limit_by_line(tmp_path):
+    # csv.reader raises csv.Error past 131,072 characters a field; the reader names the line
+    path = _write(tmp_path / "m.csv", "1,2\n" + "x" * 200_000 + ",3\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: field larger than field limit")):
+        load_csv_matrix(str(path))
+
+
 def test_load_csv_matrix_same_outcome_as_the_line_reader_on_random_text(tmp_path):
     # numbers, separators and the characters where numpy's parser and csv + float() part ways
     tokens = ["1", "-2.5", "3e2", ".", "e", "-", "+", "_", "nan", "inf", "x", ",", ",", "\n", "\n",

@@ -84,7 +84,7 @@ def test_fan_out_holds_openblas_at_one_thread_while_its_pool_runs(monkeypatch):
     count = [4]
     monkeypatch.setattr(threads, "openblas_thread_controls",
                         lambda: (lambda: count[0], lambda k: count.__setitem__(0, k)))
-    for states, inside in [(1, 4), (2, 1), (3, 1)]:  # one state runs with no pool and no hold
+    for states, inside in [(1, 1), (2, 1), (3, 1)]:  # one state runs with no pool, under the hold too
         seen = []
         fan_out(lambda state, task: seen.append(count[0]), list(range(20)), list(range(states)))
         assert seen == [inside] * 20
