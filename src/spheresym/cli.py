@@ -7,13 +7,14 @@ Subcommands:
     pitman         local-alternative efficiency study
     subsample      subsampling protocol on a local CSV dataset
 
-Exit codes: 0 success, 1 runtime/IO failure, 2 usage error.
+Exit codes: 0 success, 1 runtime/IO failure, 2 usage error.  The resampling
+pass and the Gaussian oracle run on as many threads as numpy's OpenBLAS is set
+to use: OPENBLAS_NUM_THREADS=k spheresym ... runs them on k.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -34,7 +35,6 @@ from .experiments import (
 )
 from .oracle import CovSpec, HaarConfig, gaussian_zeta
 from .rng import RngStream
-from .threads import thread_limit
 
 
 # A probe (R = 400, B = 200, alpha = 0.05, Gaussian and spherical t3 data
@@ -59,10 +59,6 @@ def _add_common_test_flags(p: argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spheresym", description=__doc__)
-    parser.add_argument("--threads", type=int, default=None,
-                        help="number of threads the resampling pass over the Gram tiles and the Gaussian "
-                             "Haar oracle use, and numpy's BLAS outside them (inside them BLAS runs on one "
-                             "thread; needs threadpoolctl or numpy's bundled OpenBLAS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("test", help="test a CSV of observations for spherical symmetry")
@@ -194,8 +190,9 @@ _STUDIES = {"simulate": _simulate_study, "pitman": _pitman_study, "subsample": _
 def cmd_study(args) -> int:
     """Build the study (an invalid value exits 2), run it, print and write its records."""
     if args.command == "subsample":
-        # Read before the usage-error wrapper: a bad file exits 1, as in `test`.
-        args.data = load_csv_matrix(args.input, has_header=args.header)
+        # Read and checked before the usage-error wrapper and any replication:
+        # a bad file, or one with NaN or Inf, exits 1, as in `test`.
+        args.data = Sample(load_csv_matrix(args.input, has_header=args.header)).data
     try:
         config, out, echo = _STUDIES[args.command](args)
     except ValueError as exc:
@@ -224,21 +221,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "seed", 0) < 0:
         parser.error(f"--seed must be >= 0, got {args.seed}")
-    limit = contextlib.nullcontext()
-    if args.threads is not None:
-        if args.threads < 1:
-            parser.error(f"--threads must be >= 1, got {args.threads}")
-        limit = thread_limit(args.threads)
-        if limit is None:
-            print("error: --threads needs threadpoolctl or the OpenBLAS bundled with numpy; "
-                  "found neither", file=sys.stderr)
-            return 2
-    with limit:
-        try:
-            return _COMMANDS[args.command](args)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    try:
+        return _COMMANDS[args.command](args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

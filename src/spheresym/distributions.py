@@ -7,6 +7,7 @@ draws n rows deterministically from an :class:`~spheresym.rng.RngStream`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -20,7 +21,8 @@ from .rng import RngStream
 class Gaussian:
     """Centered Gaussian; either equicorrelation rho or an explicit matrix.
 
-    With ``rho`` set, the scatter matrix is (1 - rho) I + rho 11^T.
+    With ``rho`` set, the scatter matrix is (1 - rho) I + rho 11^T.  A nonzero
+    ``rho`` with ``sigma`` given is refused: one of them would be ignored.
     """
 
     d: int
@@ -33,6 +35,8 @@ class Gaussian:
         if not (0.0 <= self.rho < 1.0):
             raise ValueError(f"rho must be in [0, 1), got {self.rho}")
         if self.sigma is not None:
+            if self.rho != 0.0:
+                raise ValueError(f"give rho or sigma, not both; got rho={self.rho} with sigma")
             sigma = np.asarray(self.sigma, dtype=float)
             if sigma.shape != (self.d, self.d):
                 raise ValueError(f"sigma must be {self.d} x {self.d}")
@@ -104,9 +108,18 @@ class FourComponentMixture:
             raise ValueError("four-component mixture is defined for d = 5")
 
 
+# The largest spike scale at which a 10-standard-deviation draw, squared, stays finite.
+SPIKE_LIMIT = math.sqrt(sys.float_info.max) / 10.0
+
+
 @dataclass(frozen=True)
 class Spiked:
-    """Gaussian with diagonal covariance (d^gamma, 1, ..., 1)."""
+    """Gaussian with diagonal covariance (d^gamma, 1, ..., 1).
+
+    ``gamma`` must be finite, and the spike scale d ** (gamma / 2) at most
+    :data:`SPIKE_LIMIT`, so that even a 10-standard-deviation draw has a finite
+    squared row norm.
+    """
 
     d: int
     gamma: float
@@ -115,11 +128,12 @@ class Spiked:
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         try:
-            finite = math.isfinite(self.gamma) and math.isfinite(self.d ** (self.gamma / 2.0))
-        except OverflowError:  # the spike scale d ** (gamma / 2) that sample() multiplies by
-            finite = False
-        if not finite:
-            raise ValueError(f"gamma must be finite, with d ** (gamma / 2) inside float64, got {self.gamma}")
+            scale = self.d ** (self.gamma / 2.0)  # the spike scale sample() multiplies by
+        except OverflowError:
+            scale = math.inf
+        if not (math.isfinite(self.gamma) and scale <= SPIKE_LIMIT):
+            raise ValueError(f"gamma must be finite, with d ** (gamma / 2) <= {SPIKE_LIMIT:.4g} "
+                             f"(row norms would overflow float64), got {self.gamma}")
 
 
 @dataclass(frozen=True)

@@ -222,19 +222,21 @@ def _read_csv_lines(path: str, has_header: bool) -> np.ndarray:
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            for lineno, row in enumerate(reader, start=1):
-                if has_header and lineno == 1:
+            for record, row in enumerate(reader, start=1):
+                if has_header and record == 1:
                     continue
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
+                # the file line the record ends on: a quoted field may span lines
+                line = reader.line_num
                 try:
                     values = [float(v) for v in row]
                 except ValueError as exc:
-                    raise ValueError(f"{path}: line {lineno}: non-numeric field ({exc})") from None
+                    raise ValueError(f"{path}: line {line}: non-numeric field ({exc})") from None
                 if width is None:
                     width = len(values)
                 elif len(values) != width:
-                    raise ValueError(f"{path}: line {lineno}: expected {width} fields, got {len(values)}")
+                    raise ValueError(f"{path}: line {line}: expected {width} fields, got {len(values)}")
                 rows.append(values)
         except csv.Error as exc:  # such as a field over csv's size limit
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None

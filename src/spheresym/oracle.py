@@ -11,18 +11,18 @@ covariance that is a scalar multiple of the identity, every rotation fixes the
 law and the measure is exactly zero; that case short-circuits.
 
 The Haar draws run in blocks of consecutive rows through one ``threads.fan_out``
-per call, on as many threads as numpy's BLAS is set to use (BLAS itself held
-at one meanwhile), so ``--threads`` caps them too.  Each task draws the
-normals of the next block under one lock, so block after block takes the
-stream in order and the seed fixes every draw; outside the lock it runs the
-block's Gram-Schmidt, conjugation and Cholesky factors (over the whole block
-at once, batch axis innermost) while another thread draws, and reduces the
-block to its mean and sum of squared deviations.  Merged in block order,
-these give an estimate and standard error bit-identical for any thread
-count.  Both determinant terms come from one batched Cholesky routine, the
-exact term as a batch of one; a matrix that overflows float64 or loses its
-identity to rounding is refused with a ``ValueError`` that asks for a
-rescale.
+per call, on as many threads as numpy's OpenBLAS is set to use (BLAS itself
+held at one meanwhile), so ``OPENBLAS_NUM_THREADS`` caps them too.  Each
+task draws the normals of the next block under one lock, so block after
+block takes the stream in order and the seed fixes every draw; outside the
+lock it runs the block's Gram-Schmidt, conjugation and Cholesky factors (over
+the whole block at once, batch axis innermost) while another thread draws,
+and reduces the block to its mean and sum of squared deviations.  Merged in
+block order, these give an estimate and standard error bit-identical for any
+thread count.  Both determinant terms come from one batched Cholesky
+routine, the exact term as a batch of one; a matrix that overflows float64 or
+loses its identity to rounding is refused with a ``ValueError`` that asks for
+a rescale.
 
 A generic large-sample Monte Carlo estimate (``mc_zeta``) is also provided,
 exploiting unbiasedness of the pairwise statistic.

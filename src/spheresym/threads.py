@@ -1,12 +1,12 @@
 """Thread counts of numpy's BLAS, and the one fan-out of work over threads.
 
-``--threads`` holds numpy's BLAS through :func:`thread_limit`; the resampling
-pass over the Gram tiles and the Gaussian Haar oracle take that count through
-:func:`blas_threads` as their thread count and run their work through
-:func:`fan_out`, so one setting (or ``OPENBLAS_NUM_THREADS``) caps both.
-:func:`fan_out`, the only place in the package that starts threads, holds
-numpy's OpenBLAS at one thread on every call, so no product's bits depend on
-the thread count and pool threads never compete with BLAS threads.
+The resampling pass over the Gram tiles and the Gaussian Haar oracle take the
+thread count numpy's OpenBLAS is set to use (``OPENBLAS_NUM_THREADS``) through
+:func:`blas_threads` as their thread count, and run their work through
+:func:`fan_out`.  :func:`fan_out`, the only place in the package that starts
+threads, holds numpy's OpenBLAS at one thread on every call, so no product's
+bits depend on the thread count and pool threads never compete with BLAS
+threads.
 """
 
 from __future__ import annotations
@@ -48,23 +48,6 @@ def _openblas_limit(threads, get, put):
         yield
     finally:
         put(before)
-
-
-@contextlib.contextmanager
-def _threadpoolctl_limit(threads, threadpool_limits):
-    # threadpoolctl sets the limit when the object is built, so build it on enter.
-    with threadpool_limits(limits=threads):
-        yield
-
-
-def thread_limit(threads):
-    """Context manager holding numpy's BLAS at ``threads`` threads while entered; None if nothing can."""
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        controls = openblas_thread_controls()
-        return None if controls is None else _openblas_limit(threads, *controls)
-    return _threadpoolctl_limit(threads, threadpool_limits)
 
 
 def blas_threads() -> int:

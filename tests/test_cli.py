@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,8 @@ import pytest
 from spheresym import cli, core, threads
 from spheresym.calibrate import ENUM_LIMIT
 from spheresym.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _write_data(tmp_path, n=16, d=3, seed=0, name="data.csv"):
@@ -237,6 +242,16 @@ def test_simulate_infinite_parameter_exits_2_before_any_cell_runs(tmp_path, caps
     assert [path.name for path in tmp_path.iterdir()] == ["inf.cfg"]
 
 
+def test_simulate_spike_scale_past_the_row_norm_limit_exits_2_and_writes_nothing(tmp_path, capsys):
+    # 3 ** 500 is finite, but a draw times it squares past float64
+    cfg = tmp_path / "spiked.cfg"
+    cfg.write_text(f"name = spiked\nR = 2\nB = 20\noutput = {tmp_path / 'spiked'}\n"
+                   "cell = spiked(gamma=1000,d=3) n=10\n")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "row norms would overflow float64" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["spiked.cfg"]
+
+
 def test_pitman_command(tmp_path, capsys):
     out = tmp_path / "pitman"
     rc = main(["pitman", "--gamma", "0", "--n-grid", "50", "--R", "3", "--B", "30",
@@ -291,6 +306,21 @@ def test_subsample_failure_during_run_exits_1(tmp_path, capsys):
     assert "row norms overflow" in capsys.readouterr().err
 
 
+def test_subsample_non_finite_data_exits_1_as_test_does_and_writes_nothing(tmp_path, capsys):
+    data = np.random.default_rng(3).standard_normal((200, 3))
+    data[17, 1] = np.nan
+    path = tmp_path / "nan.csv"
+    np.savetxt(path, data, delimiter=",")
+    assert main(["test", "--input", str(path), "--B", "20"]) == 1
+    want = capsys.readouterr().err
+    assert want == "error: sample contains NaN or Inf\n"
+    assert main(["subsample", "--input", str(path), "--sizes", "5", "--R", "3",
+                 "--output", str(tmp_path / "sub")]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", want)
+    assert not list(tmp_path.glob("sub*"))
+
+
 @pytest.mark.parametrize("argv", [
     ["test", "--input", "data.csv"],
     ["zeta-gaussian", "--sigma", "identity", "--d", "2"],
@@ -306,31 +336,14 @@ def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_threads_flag_validates(tmp_path):
-    path = _write_data(tmp_path, seed=8)
-    with pytest.raises(SystemExit) as exc:
-        main(["--threads", "0", "test", "--input", str(path)])
-    assert exc.value.code == 2
-    assert main(["--threads", "1", "test", "--input", str(path), "--B", "20"]) == 0
-
-
-def test_threads_without_any_thread_control_exits_2(tmp_path, monkeypatch, capsys):
-    path = _write_data(tmp_path, seed=8)
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
-    monkeypatch.setattr(threads, "openblas_thread_controls", lambda: None)
-    assert main(["--threads", "1", "test", "--input", str(path), "--B", "20"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: --threads needs threadpoolctl")
-    assert len(err.splitlines()) == 1
-
-
 def _no_pool(*args):
     raise AssertionError("a thread pool started")
 
 
 @pytest.mark.parametrize("command", ["test", "zeta-gaussian"])
 def test_threads_1_runs_without_a_thread_pool(command, tmp_path, monkeypatch, capsys):
-    if threads.thread_limit(1) is None:
+    controls = threads.openblas_thread_controls()
+    if controls is None:
         pytest.skip("no control of numpy's BLAS threads here")
     if command == "test":
         path = _write_data(tmp_path, n=core.TILE + 1, seed=8)  # two tiles, three tile pairs
@@ -342,37 +355,38 @@ def test_threads_1_runs_without_a_thread_pool(command, tmp_path, monkeypatch, ca
     assert main(argv) == 0
     want = capsys.readouterr().out
     monkeypatch.setattr(threads, "ThreadPoolExecutor", _no_pool)
-    assert main(["--threads", "1"] + argv) == 0
+    with threads._openblas_limit(1, *controls):
+        assert main(argv) == 0
     assert capsys.readouterr().out == want
 
 
 def test_test_command_same_bytes_on_one_and_two_threads(tmp_path, capsys):
     # n = 500 is one tile: one task on the calling thread, BLAS held at one thread
-    if threads.openblas_thread_controls() is None:
+    controls = threads.openblas_thread_controls()
+    if controls is None:
         pytest.skip("numpy's OpenBLAS thread count cannot be read or set here")
     path = _write_data(tmp_path, n=500, d=10, seed=8)
     got = []
-    for k in ("1", "2"):
+    for k in (1, 2):
         out_json = tmp_path / f"out{k}.json"
-        assert main(["--threads", k, "test", "--input", str(path), "--B", "500",
-                     "--output", str(out_json)]) == 0
+        with threads._openblas_limit(k, *controls):
+            assert main(["test", "--input", str(path), "--B", "500", "--output", str(out_json)]) == 0
         got.append((capsys.readouterr().out, out_json.read_bytes()))
     assert got[0] == got[1]
 
 
-def test_threads_holds_openblas_for_the_command(tmp_path, monkeypatch):
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # use numpy's OpenBLAS directly
-    controls = threads.openblas_thread_controls()
-    if controls is None:
-        pytest.skip("numpy has no bundled OpenBLAS here")
-    get, _ = controls
-    before, seen = get(), []
-    want = 2 if before == 1 else 1
-    monkeypatch.setitem(cli._COMMANDS, "test", lambda args: seen.append(get()) or 0)
-    path = _write_data(tmp_path, seed=8)
-    assert main(["--threads", str(want), "test", "--input", str(path)]) == 0
-    assert seen == [want]
-    assert get() == before
+def test_test_command_same_bytes_under_openblas_num_threads_1_and_2(tmp_path):
+    path = _write_data(tmp_path, n=500, d=10, seed=8)
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    got = []
+    for k in ("1", "2"):
+        out_json = tmp_path / f"out{k}.json"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": k, "PYTHONPATH": pythonpath}
+        run = subprocess.run([sys.executable, "-m", "spheresym.cli", "test", "--input", str(path),
+                              "--B", "500", "--output", str(out_json)],
+                             env=env, capture_output=True, check=True)
+        got.append((run.stdout, out_json.read_bytes()))
+    assert got[0] == got[1]
 
 
 def test_exact_help_states_enum_limit(monkeypatch, capsys):

@@ -217,7 +217,7 @@ def test_swap_values_same_bits_on_one_and_two_threads():
     signs = _signs(aug.n, 40)
     grams, values = [], []
     for k in (1, 2):
-        with threads.thread_limit(k):
+        with threads._openblas_limit(k, *threads.openblas_thread_controls()):
             assert threads.blas_threads() == k
             grams.append(_tiled_g(aug))
             values.append(core.swap_values(aug, signs))
@@ -236,7 +236,7 @@ def test_one_task_swap_values_same_bits_on_one_and_two_blas_threads(n):
     signs = _signs(n, 500)
     values = []
     for k in (1, 2):
-        with threads.thread_limit(k):
+        with threads._openblas_limit(k, *threads.openblas_thread_controls()):
             values.append(core.swap_values(aug, signs))
     assert np.array_equal(values[0], values[1])
 
@@ -248,11 +248,16 @@ def _no_pool(*args):
 def test_swap_values_runs_serially_without_thread_control(monkeypatch):
     aug = _tiled_aug()
     signs = _signs(aug.n, 40)
-    with threads.thread_limit(2) or contextlib.nullcontext():
+    controls = threads.openblas_thread_controls()
+
+    def limit(k):
+        return contextlib.nullcontext() if controls is None else threads._openblas_limit(k, *controls)
+
+    with limit(2):
         want = core.swap_values(aug, signs)  # two threads where BLAS can be set
     # BLAS's own thread count can move a product's last bits, so the serial
     # pass runs with BLAS at one thread too, as the threaded pass holds it
-    hold = threads.thread_limit(1) or contextlib.nullcontext()
+    hold = limit(1)
     monkeypatch.setattr(threads, "openblas_thread_controls", lambda: None)
     monkeypatch.setattr(threads, "ThreadPoolExecutor", _no_pool)
     assert threads.blas_threads() == 1

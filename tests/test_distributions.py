@@ -10,6 +10,7 @@ from spheresym.distributions import (
     FourComponentMixture,
     Gaussian,
     LpSymmetric,
+    SPIKE_LIMIT,
     Spiked,
     SphericalT,
     Subsample,
@@ -28,6 +29,12 @@ def test_gaussian_validation_and_covariance():
     cov = Gaussian(d=3, rho=0.5).covariance()
     assert np.allclose(cov, 0.5 * np.eye(3) + 0.5, atol=1e-15)
     assert np.array_equal(Gaussian(d=2).covariance(), np.eye(2))
+
+
+def test_gaussian_refuses_rho_with_sigma():
+    with pytest.raises(ValueError, match="give rho or sigma, not both"):
+        Gaussian(d=2, rho=0.5, sigma=np.eye(2))
+    assert Gaussian(d=2, rho=0.0, sigma=np.eye(2)).rho == 0.0
 
 
 def test_gaussian_rho_zero_moments():
@@ -113,6 +120,16 @@ def test_mixture_means_and_dimension():
 def test_spiked_refuses_a_gamma_whose_spike_scale_is_not_finite(gamma):
     with pytest.raises(ValueError, match="gamma must be finite"):
         Spiked(d=3, gamma=gamma)
+
+
+def test_spiked_refuses_a_spike_scale_whose_draws_would_overflow_a_row_norm():
+    # At d = 3 the largest accepted gamma is 2 log(SPIKE_LIMIT) / log(3) = 641.880...
+    assert SPIKE_LIMIT == pytest.approx(1.3408e153, rel=1e-4)
+    x = sample(Spiked(d=3, gamma=641.88), 1000, RngStream(9)).data
+    assert np.isfinite((x * x).sum(axis=1)).all()
+    for gamma in (641.881, 642.0, 1000.0):  # 3 ** 500 is finite, about 3.6e238
+        with pytest.raises(ValueError, match="row norms would overflow float64"):
+            Spiked(d=3, gamma=gamma)
 
 
 def test_spiked_leading_variance():

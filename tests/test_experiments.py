@@ -2,6 +2,7 @@ import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +165,8 @@ def test_load_csv_matrix_same_bits_as_the_line_reader(tmp_path, fmt, header):
     ("a,b\n1,2\n", False, "line 1: non-numeric field"),
     ("#c\n1,2\n", False, "line 1: non-numeric field"),
     ("1,2\n\x1c3,4\n", False, "line 2: non-numeric field"),
+    ('"1\n",2\n3,x\n', False, "line 3: non-numeric field"),
+    ('"1\n\n",2\n3,4\n5\n', False, "line 5: expected 2 fields, got 1"),
     ('"1",2\n3,"4"\n', False, [[1, 2], [3, 4]]),
     ('"a\nb",c\n1,2\n', True, [[1, 2]]),
     ('"a,b\n1,2\n3,4\n', True, "no data rows"),
@@ -176,7 +179,8 @@ def test_load_csv_matrix_same_bits_as_the_line_reader(tmp_path, fmt, header):
     ("", False, "no data rows"),
     ("\n\n", False, "no data rows"),
 ], ids=["non-numeric", "non-numeric-after-blanks", "ragged", "trailing-comma", "no-header-flag",
-        "hash", "file-separator", "quoted", "quoted-header-line-break",
+        "hash", "file-separator", "non-numeric-after-a-quoted-line-break",
+        "ragged-after-a-quoted-blank-line", "quoted", "quoted-header-line-break",
         "unclosed-quote-in-header", "underscore",
         "whitespace-line", "bom", "bom-header", "header-only", "header-and-blank", "empty",
         "blank-only"])
@@ -341,15 +345,15 @@ def test_write_records_outputs(tmp_path):
     ]
     prefix = str(tmp_path / "out" / "res")
     csv_path, json_path = write_records(recs, prefix, config_echo={"name": "x"})
-    lines = open(csv_path).read().splitlines()
+    lines = Path(csv_path).read_text().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS) == "name,spec,n,d,R,B,alpha,rejections,power,std_error,seed"
     assert len(lines) == 2
-    payload = json.loads(open(json_path).read())
+    payload = json.loads(Path(json_path).read_text())
     assert payload["config"] == {"name": "x"}
     assert payload["records"][0]["power"] == 0.25
     # rerun is byte-identical
     write_records(recs, prefix, config_echo={"name": "x"})
-    assert open(csv_path).read() == "\n".join(lines) + "\n"
+    assert Path(csv_path).read_text() == "\n".join(lines) + "\n"
 
 
 def test_parse_distribution_families():

@@ -349,7 +349,7 @@ def test_gaussian_zeta_same_bits_on_one_and_two_threads():
     cov = _random_cov(5, 23)
     results = []
     for k in (1, 2):
-        with threads.thread_limit(k):
+        with threads._openblas_limit(k, *threads.openblas_thread_controls()):
             assert threads.blas_threads() == k
             results.append(gaussian_zeta(cov, 5, HaarConfig(m=20_001, seed=24)))
     assert results[0] == results[1]

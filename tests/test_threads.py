@@ -1,7 +1,6 @@
 import sys
 import threading
 import time
-import types
 
 import pytest
 
@@ -100,38 +99,3 @@ def test_fan_out_propagates_an_exception_and_returns(states, failing):
 
     exc = _returns_within(10, lambda: fan_out(work, list(range(20)), list(range(states))))
     assert isinstance(exc, ValueError)
-
-
-def test_thread_limit_applies_threadpoolctl_limit_on_enter(monkeypatch):
-    events = []
-
-    class threadpool_limits:  # threadpoolctl's applies its limit when built
-        def __init__(self, limits):
-            events.append(("apply", limits))
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            events.append("restore")
-
-    fake = types.ModuleType("threadpoolctl")
-    fake.threadpool_limits = threadpool_limits
-    monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
-    limit = threads.thread_limit(3)
-    assert limit is not None and events == []
-    with limit:
-        assert events == [("apply", 3)]
-    assert events == [("apply", 3), "restore"]
-
-
-def test_thread_limit_applies_openblas_limit_on_enter(monkeypatch):
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
-    count = [4]
-    monkeypatch.setattr(threads, "openblas_thread_controls",
-                        lambda: (lambda: count[0], lambda k: count.__setitem__(0, k)))
-    limit = threads.thread_limit(1)
-    assert count == [4]
-    with limit:
-        assert count == [1]
-    assert count == [4]
