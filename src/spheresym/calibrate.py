@@ -25,7 +25,7 @@ evaluate all B.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -45,12 +45,14 @@ _DRAW_BYTES = 120 << 10
 
 @dataclass(frozen=True)
 class TestOutcome:
+    """A p-value with its decision (reject when p < alpha) and the cutoff bound, both derived."""
+
     statistic: float
     p_value: float
     method: str  # "exact" or "monte-carlo"
     alpha: float
-    reject: bool
-    c_alpha_bound: float
+    reject: bool = field(init=False)
+    c_alpha_bound: float = field(init=False)
     n: int
     d: int
     B: int | None = None
@@ -58,10 +60,9 @@ class TestOutcome:
     center: str = "none"
 
     def __post_init__(self):
-        if not (0 < self.alpha < 1):
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.reject != (self.p_value < self.alpha):
-            raise ValueError("decision inconsistent with p-value")
+        _check_alpha(self.alpha)
+        object.__setattr__(self, "reject", self.p_value < self.alpha)
+        object.__setattr__(self, "c_alpha_bound", cutoff_bound(self.n, self.alpha))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -70,6 +71,11 @@ class TestOutcome:
 def _check_alpha(alpha: float) -> None:
     if not (0 < alpha < 1):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
+def _check_B(B: int) -> None:
+    if B < 1:
+        raise ValueError(f"B must be >= 1, got {B}")
 
 
 def _check_enum_size(n: int) -> None:
@@ -178,17 +184,8 @@ def exact_pvalue(aug: AugmentedSample, alpha: float = DEFAULT_ALPHA) -> TestOutc
         np.add(cross, offset, out=tile)
         tile += qa[h * rows:(h + 1) * rows, None]
         count += _count_at_least(tile, floor, mask)
-    p = 2 * count / (1 << n)
-    return TestOutcome(
-        statistic=obs,
-        p_value=p,
-        method="exact",
-        alpha=alpha,
-        reject=p < alpha,
-        c_alpha_bound=cutoff_bound(n, alpha),
-        n=n,
-        d=aug.d,
-    )
+    return TestOutcome(statistic=obs, p_value=2 * count / (1 << n), method="exact", alpha=alpha,
+                       n=n, d=aug.d)
 
 
 def _draw_signs(n: int, B: int, rng: RngStream) -> np.ndarray:
@@ -218,8 +215,7 @@ def _resample(aug: AugmentedSample, B: int, rng: RngStream, stop: int | None = N
     returns those evaluated (``core.swap_values``).  A B < 1, or a pass that
     would not fit in memory, is refused before drawing.
     """
-    if B < 1:
-        raise ValueError(f"B must be >= 1, got {B}")
+    _check_B(B)
     resample_plan(aug.n, B)
     return swap_values(aug, _draw_signs(aug.n, B, rng), stop)
 
@@ -244,14 +240,11 @@ def mc_pvalue(aug: AugmentedSample, B: int, rng: RngStream, alpha: float = DEFAU
     _check_alpha(alpha)
     values = _resample(aug, B, rng)
     obs = float(values[0])
-    p = (_count_ties_or_exceed(values[1:], obs) + 1) / (B + 1)
     return TestOutcome(
         statistic=obs,
-        p_value=p,
+        p_value=(_count_ties_or_exceed(values[1:], obs) + 1) / (B + 1),
         method="monte-carlo",
         alpha=alpha,
-        reject=p < alpha,
-        c_alpha_bound=cutoff_bound(aug.n, alpha),
         n=aug.n,
         d=aug.d,
         B=B,

@@ -22,7 +22,9 @@ import sys
 import numpy as np
 
 from .augment import CENTER_MODES
-from .calibrate import DEFAULT_ALPHA, DEFAULT_B, ENUM_LIMIT, _check_enum_size, run_test
+from .calibrate import (
+    DEFAULT_ALPHA, DEFAULT_B, ENUM_LIMIT, _check_alpha, _check_B, _check_enum_size, run_test,
+)
 from .core import Sample
 from .distributions import describe
 from .experiments import (
@@ -99,18 +101,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_test(args) -> int:
     data = load_csv_matrix(args.input, has_header=args.header)
-    if not (0 < args.alpha < 1):
-        print(f"error: alpha must be in (0, 1), got {args.alpha}", file=sys.stderr)
-        return 2
-    if args.B < 1:
-        print(f"error: B must be >= 1, got {args.B}", file=sys.stderr)
-        return 2
-    if args.exact:
-        try:
+    try:
+        _check_alpha(args.alpha)
+        _check_B(args.B)
+        if args.exact:
             _check_enum_size(len(data))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     outcome = run_test(
         Sample(data),
         RngStream(args.seed),

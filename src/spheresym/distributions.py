@@ -14,6 +14,7 @@ from typing import Union
 import numpy as np
 
 from .core import Sample
+from .oracle import CovSpec
 from .rng import RngStream
 
 
@@ -23,6 +24,8 @@ class Gaussian:
 
     With ``rho`` set, the scatter matrix is (1 - rho) I + rho 11^T.  A nonzero
     ``rho`` with ``sigma`` given is refused: one of them would be ignored.
+    ``sigma`` must pass :class:`~spheresym.oracle.CovSpec`'s checks (finite,
+    symmetric, positive semi-definite).
     """
 
     d: int
@@ -40,7 +43,7 @@ class Gaussian:
             sigma = np.asarray(self.sigma, dtype=float)
             if sigma.shape != (self.d, self.d):
                 raise ValueError(f"sigma must be {self.d} x {self.d}")
-            object.__setattr__(self, "sigma", sigma)
+            object.__setattr__(self, "sigma", CovSpec(sigma).sigma)
 
     def covariance(self) -> np.ndarray:
         if self.sigma is not None:
@@ -161,10 +164,15 @@ class Subsample:
 
     ``label`` names the data in result records.  Instances compare by
     identity: an elementwise ``==`` on the matrix has no single truth value.
+    ``data`` must pass :class:`~spheresym.core.Sample`'s checks (2-d,
+    non-empty, finite), so a bad matrix is refused before any draw.
     """
 
     data: np.ndarray
     label: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "data", Sample(self.data).data)
 
     @property
     def d(self) -> int:

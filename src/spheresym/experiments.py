@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .augment import CENTER_MODES
-from .calibrate import DEFAULT_ALPHA, DEFAULT_B, _rejects
+from .calibrate import DEFAULT_ALPHA, DEFAULT_B, _check_alpha, _check_B, _rejects
 from .distributions import (
     AngularSymmetric,
     Contaminated,
@@ -63,10 +63,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.R < 1:
             raise ValueError(f"R must be >= 1, got {self.R}")
-        if self.B < 1:
-            raise ValueError(f"B must be >= 1, got {self.B}")
-        if not (0 < self.alpha < 1):
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        _check_B(self.B)
+        _check_alpha(self.alpha)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.center_mode not in CENTER_MODES:
@@ -290,7 +288,7 @@ def write_records(records: list[PowerRecord], out_prefix: str, config_echo: dict
 # --- configuration file format -------------------------------------------
 #
 # Flat "key = value" lines; '#' starts a comment.  Repeated "cell" keys build
-# the grid.  Example:
+# the grid; any other key, or a descriptor's parameter, may appear once.  Example:
 #
 #     name = level_example1a
 #     R = 500
@@ -332,9 +330,12 @@ def parse_distribution(text: str) -> DistributionSpec:
     if body:
         for item in _split_top(body):
             key, sep, value = item.partition("=")
+            key = key.strip()
             if not sep:
                 raise ValueError(f"bad parameter {item!r} in {text!r}")
-            items[key.strip()] = value.strip()
+            if key in items:
+                raise ValueError(f"parameter {key!r} given twice in {text!r}")
+            items[key] = value.strip()
 
     if family == "contaminated":
         for key in ("delta", "f", "g"):
@@ -418,6 +419,8 @@ def parse_config(path: str) -> ExperimentConfig:
                     cells.append(parse_cell(value))
                 except ValueError as exc:
                     raise ValueError(f"{path}: line {lineno}: key 'cell': {exc}") from None
+            elif key in values:
+                raise ValueError(f"{path}: line {lineno}: key {key!r} given twice")
             else:
                 values[key] = value
 

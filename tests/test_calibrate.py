@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -306,6 +307,25 @@ def test_run_test_deterministic_and_complete():
     assert a.B == 100 and a.seed == 21 and a.n == 20 and a.d == 4
     assert a.reject == (a.p_value < a.alpha)
     assert a.c_alpha_bound == pytest.approx(cutoff_bound(20, 0.05))
+
+
+def test_test_outcome_derives_its_decision_and_bound():
+    s = Sample(np.random.default_rng(14).standard_normal((20, 4)))
+    a = run_test(s, RngStream(21), alpha=0.05, B=100)
+    assert list(a.to_dict()) == [
+        "statistic", "p_value", "method", "alpha", "reject", "c_alpha_bound",
+        "n", "d", "B", "seed", "center",
+    ]
+    for p in (0.01, 0.05, 0.5):
+        b = dataclasses.replace(a, p_value=p)
+        assert b.reject == (p < 0.05)
+        assert b.c_alpha_bound == a.c_alpha_bound
+    c = dataclasses.replace(a, alpha=0.1, n=41)
+    assert c.reject == (a.p_value < 0.1) and c.c_alpha_bound == cutoff_bound(41, 0.1)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(a, reject=not a.reject)
+    with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\), got 1.5"):
+        dataclasses.replace(a, alpha=1.5)
 
 
 def test_run_test_exact_mode():

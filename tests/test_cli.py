@@ -109,7 +109,28 @@ def test_test_command_field_over_csvs_size_limit_exits_1(tmp_path, capsys):
 def test_test_command_bad_alpha_and_B(tmp_path, capsys):
     path = _write_data(tmp_path, seed=4)
     assert main(["test", "--input", str(path), "--alpha", "1.5"]) == 2
+    assert capsys.readouterr().err == "error: alpha must be in (0, 1), got 1.5\n"
     assert main(["test", "--input", str(path), "--B", "0"]) == 2
+    assert capsys.readouterr().err == "error: B must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("n, flags, message", [
+    (16, ["--alpha", "1.5"], "alpha must be in (0, 1), got 1.5"),
+    (16, ["--alpha", "nan"], "alpha must be in (0, 1), got nan"),
+    (16, ["--B", "0"], "B must be >= 1, got 0"),
+    (ENUM_LIMIT + 1, ["--exact"],
+     f"exact enumeration needs n <= {ENUM_LIMIT} (2^n resamples); got n = {ENUM_LIMIT + 1}"),
+    # alpha is checked first, then B, then the enumeration size
+    (ENUM_LIMIT + 1, ["--exact", "--B", "0", "--alpha", "2"], "alpha must be in (0, 1), got 2.0"),
+    (ENUM_LIMIT + 1, ["--exact", "--B", "0"], "B must be >= 1, got 0"),
+], ids=["alpha", "alpha-nan", "B", "exact", "alpha-first", "B-before-exact"])
+def test_test_command_usage_error_is_one_stderr_line_and_runs_nothing(
+        tmp_path, monkeypatch, capsys, n, flags, message):
+    monkeypatch.setattr(cli, "run_test", lambda *a, **k: pytest.fail("the test ran"))
+    path = _write_data(tmp_path, n=n, d=2)
+    assert main(["test", "--input", str(path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_missing_required_flag_exits_2(tmp_path):
@@ -217,6 +238,21 @@ def test_simulate_invalid_config_value_exits_2(tmp_path, capsys, line, message):
     cfg.write_text(f"name = bad\nR = 2\n{line}\ncell = gaussian(rho=0,d=2) n=10\n")
     assert main(["simulate", "--config", str(cfg)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("R = 3", "line 3: key 'R' given twice"),
+    ("cell = gaussian(d=2,d=3) n=10", "line 3: key 'cell': parameter 'd' given twice"),
+], ids=["key", "parameter"])
+def test_simulate_repeated_key_exits_2_and_writes_nothing(tmp_path, capsys, line, message):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(f"name = twice\nR = 2\n{line}\nB = 20\noutput = {tmp_path / 'twice'}\n"
+                   "cell = gaussian(rho=0,d=2) n=10\n")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {cfg}: {message}")
+    assert [path.name for path in tmp_path.iterdir()] == ["twice.cfg"]
 
 
 def test_simulate_lp_with_d_0_exits_2_before_any_cell_runs(tmp_path, capsys):

@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from spheresym import RngStream, run_test
+from spheresym import CovSpec, RngStream, run_test
 from spheresym.distributions import (
     AngularSymmetric,
     Contaminated,
@@ -35,6 +36,19 @@ def test_gaussian_refuses_rho_with_sigma():
     with pytest.raises(ValueError, match="give rho or sigma, not both"):
         Gaussian(d=2, rho=0.5, sigma=np.eye(2))
     assert Gaussian(d=2, rho=0.0, sigma=np.eye(2)).rho == 0.0
+
+
+@pytest.mark.parametrize("sigma", [
+    [[1.0, 0.9], [0.0, 1.0]],
+    [[1.0, np.nan], [np.nan, 1.0]],
+    [[1.0, 2.0], [2.0, 1.0]],
+], ids=["asymmetric", "nan", "indefinite"])
+def test_gaussian_refuses_a_sigma_that_covspec_refuses(sigma):
+    # Cholesky reads one triangle only: the asymmetric matrix used to sample the identity
+    with pytest.raises(ValueError) as want:
+        CovSpec(sigma)
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        Gaussian(d=2, sigma=sigma)
 
 
 def test_gaussian_rho_zero_moments():
@@ -191,6 +205,16 @@ def test_subsample_draws_rows_without_replacement():
     rows = RngStream(4, (1, 2)).generator().choice(10, size=10, replace=False)
     assert np.array_equal(drawn, data[rows])
     assert sorted(drawn[:, 0]) == list(data[:, 0])  # each row exactly once
+
+
+@pytest.mark.parametrize("data, message", [
+    (np.zeros(4), "2-d array"),
+    (np.zeros((0, 3)), "n >= 1 rows"),
+    (np.array([[0.0, 1.0], [np.inf, 2.0]]), "NaN or Inf"),
+], ids=["1-d", "empty", "inf"])
+def test_subsample_refuses_data_that_sample_refuses(data, message):
+    with pytest.raises(ValueError, match=message):
+        Subsample(data, "bad")
 
 
 def test_sample_determinism_and_validation():

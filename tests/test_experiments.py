@@ -263,6 +263,14 @@ def test_run_subsample_study(tmp_path, monkeypatch):
         study((10, 61), R=1)
 
 
+def test_subsample_config_refuses_non_finite_data_before_any_replication(monkeypatch):
+    data = np.random.default_rng(3).standard_normal((200, 3))
+    data[17, 1] = np.nan
+    monkeypatch.setattr(experiments, "_rejects", lambda *a, **k: pytest.fail("a replication ran"))
+    with pytest.raises(ValueError, match="sample contains NaN or Inf"):
+        run_power_study(subsample_config(data, "x", (5,), R=3, B=20))
+
+
 @pytest.mark.parametrize("center_mode", CENTER_MODES)
 def test_subsample_study_replication_streams(tmp_path, monkeypatch, center_mode):
     # replication r of cell ci uses RngStream(seed, (ci, r)): child(0) draws
@@ -391,6 +399,17 @@ def test_parse_distribution_errors():
     assert parse_distribution("gaussian(d=3.0)") == Gaussian(d=3)
 
 
+@pytest.mark.parametrize("text, key", [
+    ("gaussian(d=2,d=3)", "d"),
+    ("t(nu=3, d=2, nu=4)", "nu"),
+    ("contaminated(delta=0.5,f=gaussian(d=2),f=gaussian(d=3),g=gaussian(d=2))", "f"),
+    ("contaminated(delta=0.5,f=gaussian(d=2,d=3),g=gaussian(d=2))", "d"),
+], ids=["gaussian", "t", "contaminated", "nested"])
+def test_parse_distribution_refuses_a_repeated_parameter(text, key):
+    with pytest.raises(ValueError, match=f"parameter '{key}' given twice"):
+        parse_distribution(text)
+
+
 def test_parse_cell():
     cell = parse_cell("gaussian(rho=0,d=2) n=20")
     assert cell == Cell(Gaussian(d=2), 20)
@@ -434,6 +453,19 @@ def test_parse_config_errors(tmp_path):
         parse_config(str(p))
     p.write_text("name = x\n")
     with pytest.raises(ValueError, match="empty"):
+        parse_config(str(p))
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("R = 5\nR = 7\n", "line 3: key 'R' given twice"),
+    ("output = a\nseed = 1\noutput = b\n", "line 4: key 'output' given twice"),
+    ("name = y\n", "line 2: key 'name' given twice"),
+    ("cell = gaussian(d=2,d=3) n=10\n", "line 2: key 'cell': parameter 'd' given twice"),
+], ids=["R", "output", "name", "cell-parameter"])
+def test_parse_config_refuses_a_repeated_key(tmp_path, lines, message):
+    p = tmp_path / "twice.cfg"
+    p.write_text(f"name = x\n{lines}cell = gaussian(d=2) n=10\ncell = gaussian(d=3) n=10\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}: {message}")):
         parse_config(str(p))
 
 
