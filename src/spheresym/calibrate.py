@@ -25,6 +25,7 @@ evaluate all B.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -83,6 +84,23 @@ def _check_enum_size(n: int) -> None:
         raise ValueError(f"exact enumeration needs n <= {ENUM_LIMIT} (2^n resamples); got n = {n}")
 
 
+def _cannot_reject(alpha: float, B: int, n: int | None = None) -> str | None:
+    """Why no p-value can fall below alpha, or None when one can; exact enumeration when n is given.
+
+    A Monte Carlo p-value is at least 1 / (B + 1) and an exact one at least
+    2^(1 - n) (the observed value and its full swap).  The test rejects when
+    p < alpha, so at or below that floor it cannot; compared in the floats
+    the decision uses.  For a note, not a refusal: such a test still runs.
+    """
+    if n is not None:
+        floor, why = 2 / (1 << n), f"an exact p-value at n = {n} is at least 2^(1-n)"
+    else:
+        floor, why = 1 / (B + 1), "a Monte Carlo p-value is at least 1/(B + 1)"
+    if floor < alpha:
+        return None
+    return f"{why} = {floor:.6g}, not below alpha = {alpha:g}, so the test cannot reject"
+
+
 def cutoff_bound(n: int, alpha: float) -> float:
     """Deterministic bound 2 / (alpha (n - 1)) on the resampling cutoff."""
     return 2.0 / (alpha * (n - 1))
@@ -119,13 +137,15 @@ def _sign_table(k: int) -> np.ndarray:
     return 1.0 - 2.0 * ((codes >> np.arange(k)) & 1)
 
 
-def _signed_sums(w: np.ndarray) -> np.ndarray:
+def _signed_sums(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """sum_j s_j w[j] for every sign row s of ``_sign_table(len(w))``, one per row.
 
     Built by doubling: the rows with bit j set are the rows without it,
-    minus 2 w[j].  One add per entry, no matrix product.
+    minus 2 w[j].  One add per entry, no matrix product.  Written into
+    ``out`` (2^len(w) x w.shape[1]) when given.
     """
-    out = np.empty((1 << len(w), w.shape[1]))
+    if out is None:
+        out = np.empty((1 << len(w), w.shape[1]))
     out[0] = w.sum(axis=0)
     for j in range(len(w)):
         np.subtract(out[: 1 << j], 2.0 * w[j], out=out[1 << j: 2 << j])
@@ -139,6 +159,25 @@ def _branch_sums(w: np.ndarray, base: np.ndarray):
         return
     yield from _branch_sums(w[:-1], base + w[-1])
     yield from _branch_sums(w[:-1], base - w[-1])
+
+
+# Per-thread buffers of exact_pvalue's tiles, kept between calls (see _tile_buffers).
+_workspace = threading.local()
+
+
+def _tile_buffers(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Three (rows, cols) views for ``exact_pvalue``: cross sums, tile values, comparison mask.
+
+    They view this thread's flat buffers, which only grow.  A fresh array of
+    this size per call would go back to the system when freed and fault in
+    its pages again on the next call; the kept ones fault only when first
+    touched.  Every entry is written before it is read.
+    """
+    size = rows * cols
+    buffers = getattr(_workspace, "buffers", None)
+    if buffers is None or buffers[0].size < size:
+        buffers = _workspace.buffers = (np.empty(size), np.empty(size), np.empty(size, dtype=bool))
+    return tuple(b[:size].reshape(rows, cols) for b in buffers)
 
 
 def exact_pvalue(aug: AugmentedSample, alpha: float = DEFAULT_ALPHA) -> TestOutcome:
@@ -159,7 +198,9 @@ def exact_pvalue(aug: AugmentedSample, alpha: float = DEFAULT_ALPHA) -> TestOutc
     product, and the run time would follow the machine's other load.  Tiles
     are counted one by one, unnormalised, against the least value whose
     normalised value reaches the tie guard (``_least_scaled``), so the counts
-    are those of dividing every value by n (n - 1) first.
+    are those of dividing every value by n (n - 1) first.  The tile, its
+    cross sums and its mask live in this thread's kept buffers
+    (``_tile_buffers``).
     """
     _check_alpha(alpha)
     n = aug.n
@@ -175,9 +216,8 @@ def exact_pvalue(aug: AugmentedSample, alpha: float = DEFAULT_ALPHA) -> TestOutc
     fit = max(1, _TILE_BYTES // (9 * w.shape[1]))
     low = min(a - 1, fit.bit_length() - 1)  # pairs 0..low-1 vary inside a tile
     rows = 1 << low
-    cross = _signed_sums(w[:low])
-    tile = np.empty_like(cross)
-    mask = np.empty(tile.shape, dtype=bool)
+    cross, tile, mask = _tile_buffers(rows, w.shape[1])
+    _signed_sums(w[:low], out=cross)
     floor = _least_scaled(_tie_floor(obs), n * (n - 1))
     count = 0
     for h, offset in enumerate(_branch_sums(w[low:a - 1], w[a - 1] + qb)):

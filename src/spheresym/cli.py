@@ -23,7 +23,8 @@ import numpy as np
 
 from .augment import CENTER_MODES
 from .calibrate import (
-    DEFAULT_ALPHA, DEFAULT_B, ENUM_LIMIT, _check_alpha, _check_B, _check_enum_size, run_test,
+    DEFAULT_ALPHA, DEFAULT_B, ENUM_LIMIT, _cannot_reject, _check_alpha, _check_B, _check_enum_size,
+    run_test,
 )
 from .core import Sample
 from .distributions import describe
@@ -99,6 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _note(message: str | None) -> None:
+    if message is not None:
+        print(f"note: {message}", file=sys.stderr)
+
+
 def cmd_test(args) -> int:
     data = load_csv_matrix(args.input, has_header=args.header)
     try:
@@ -109,6 +115,7 @@ def cmd_test(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _note(_cannot_reject(args.alpha, args.B, len(data) if args.exact else None))
     outcome = run_test(
         Sample(data),
         RngStream(args.seed),
@@ -196,6 +203,7 @@ def cmd_study(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _note(_cannot_reject(config.alpha, config.B))
     records = run_power_study(config)
     header = f"{'spec':<50} {'n':>5} {'d':>5} {'power':>7} {'se':>7}"
     print(header)

@@ -25,7 +25,8 @@ class Gaussian:
     With ``rho`` set, the scatter matrix is (1 - rho) I + rho 11^T.  A nonzero
     ``rho`` with ``sigma`` given is refused: one of them would be ignored.
     ``sigma`` must pass :class:`~spheresym.oracle.CovSpec`'s checks (finite,
-    symmetric, positive semi-definite).
+    symmetric, positive semi-definite) and have the Cholesky factor that
+    sampling draws with (``_sigma_factor``).
     """
 
     d: int
@@ -43,7 +44,13 @@ class Gaussian:
             sigma = np.asarray(self.sigma, dtype=float)
             if sigma.shape != (self.d, self.d):
                 raise ValueError(f"sigma must be {self.d} x {self.d}")
-            object.__setattr__(self, "sigma", CovSpec(sigma).sigma)
+            sigma = CovSpec(sigma).sigma
+            try:
+                _sigma_factor(sigma)
+            except np.linalg.LinAlgError:
+                raise ValueError("sigma cannot be sampled: sigma + 1e-14 I has no Cholesky factor, "
+                                 "so sigma is numerically indefinite") from None
+            object.__setattr__(self, "sigma", sigma)
 
     def covariance(self) -> np.ndarray:
         if self.sigma is not None:
@@ -214,13 +221,17 @@ def _laplace_inverse_cdf(u: np.ndarray) -> np.ndarray:
     return -np.sign(centered) * np.log1p(-2.0 * np.abs(centered))
 
 
+def _sigma_factor(sigma: np.ndarray) -> np.ndarray:
+    """The Cholesky factor of sigma + 1e-14 I that a ``Gaussian(sigma=...)`` draw multiplies by."""
+    return np.linalg.cholesky(sigma + 1e-14 * np.eye(len(sigma)))
+
+
 def _sample_rows(spec: DistributionSpec, n: int, gen: np.random.Generator) -> np.ndarray:
     d = spec.d
     if isinstance(spec, Gaussian):
         z = gen.standard_normal((n, d))
         if spec.sigma is not None:
-            chol = np.linalg.cholesky(spec.sigma + 1e-14 * np.eye(d))
-            return z @ chol.T
+            return z @ _sigma_factor(spec.sigma).T
         if spec.rho == 0.0:
             return z
         z0 = gen.standard_normal(n)

@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import os
+import re
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 
@@ -401,12 +402,16 @@ def parse_cell(text: str) -> Cell:
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    """Read an experiment configuration file; errors name the offending key."""
-    values: dict[str, str] = {}
+    """Read an experiment configuration file; errors name the offending line and key.
+
+    A ``#`` at the start of a line or after whitespace starts a comment; one
+    inside a value, as in ``output = results/run#1``, is part of the value.
+    """
+    values: dict[str, tuple[str, int]] = {}  # key -> (value, line number)
     cells: list[Cell] = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|(?<=\s))#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             key, sep, value = line.partition("=")
@@ -422,15 +427,18 @@ def parse_config(path: str) -> ExperimentConfig:
             elif key in values:
                 raise ValueError(f"{path}: line {lineno}: key {key!r} given twice")
             else:
-                values[key] = value
+                values[key] = value, lineno
 
-    def take(key, convert, default=None):
+    required = object()
+
+    def take(key, convert, default=required):
         if key in values:
+            value, lineno = values.pop(key)
             try:
-                return convert(values.pop(key))
+                return convert(value)
             except ValueError:
-                raise ValueError(f"{path}: key {key!r}: bad value") from None
-        if default is None:
+                raise ValueError(f"{path}: line {lineno}: key {key!r}: bad value {value!r}") from None
+        if default is required:
             raise ValueError(f"{path}: missing required key {key!r}")
         return default
 
@@ -442,9 +450,10 @@ def parse_config(path: str) -> ExperimentConfig:
         B=take("B", int, DEFAULT_B),
         alpha=take("alpha", float, DEFAULT_ALPHA),
         seed=take("seed", int, 0),
-        output=values.pop("output", None),
-        center_mode=values.pop("center", "none"),
+        output=take("output", str, None),
+        center_mode=take("center", str, "none"),
     )
     if values:
-        raise ValueError(f"{path}: unknown keys {sorted(values)}")
+        key, (_, lineno) = next(iter(values.items()))  # the first by line
+        raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
     return config

@@ -16,10 +16,11 @@ held at one meanwhile), so ``OPENBLAS_NUM_THREADS`` caps them too.  Each
 task draws the normals of the next block under one lock, so block after
 block takes the stream in order and the seed fixes every draw; outside the
 lock it runs the block's Gram-Schmidt, conjugation and Cholesky factors (over
-the whole block at once, batch axis innermost) while another thread draws,
-and reduces the block to its mean and sum of squared deviations.  Merged in
-block order, these give an estimate and standard error bit-identical for any
-thread count.  Both determinant terms come from one batched Cholesky
+the whole block at once, batch axis innermost, in three block buffers each
+thread keeps for the call) while another thread draws, and reduces the
+block to its mean and sum of squared deviations.  Merged in block order,
+these give an estimate and standard error bit-identical for any thread
+count.  Both determinant terms come from one batched Cholesky
 routine, the exact term as a batch of one; a matrix that overflows float64 or
 loses its identity to rounding is refused with a ``ValueError`` that asks for
 a rescale.
@@ -112,7 +113,8 @@ def gaussian_pair_term(sigma1: CovSpec, sigma2: CovSpec, d: int) -> float:
     return float(value[0])
 
 
-def _haar_from_normals(a: np.ndarray) -> np.ndarray:
+def _haar_from_normals(a: np.ndarray, cols: np.ndarray | None = None,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """Haar orthogonal matrices from a batch of standard normal ones.
 
     Each Q is the Q factor of a's QR decomposition with R's diagonal positive,
@@ -120,38 +122,46 @@ def _haar_from_normals(a: np.ndarray) -> np.ndarray:
     has a positive diagonal by construction, and classical Gram-Schmidt run
     twice per column (CGS2) keeps Q orthogonal to machine precision (Giraud
     et al., Numer. Math. 2005).  The columns are laid out as (column, row,
-    batch), so every step is one numpy operation over the whole batch.
+    batch) in ``cols``, so every step is one numpy operation over the whole
+    batch; Q goes to ``out`` (a's shape).  Either is allocated when not given.
     """
-    cols = np.ascontiguousarray(a.transpose(2, 1, 0))
+    k, d, _ = a.shape
+    cols = np.empty((d, d, k)) if cols is None else cols
+    np.copyto(cols, a.transpose(2, 1, 0))
     for j, v in enumerate(cols):
         done = cols[:j]
         for _ in range(2):
             v -= np.einsum("ik,irk->rk", np.einsum("irk,rk->ik", done, v), done)
         v /= np.sqrt(np.einsum("rk,rk->k", v, v))
-    return np.ascontiguousarray(cols.transpose(2, 1, 0))
+    out = np.empty_like(a) if out is None else out
+    np.copyto(out, cols.transpose(2, 1, 0))
+    return out
 
 
-def _conjugate(h: np.ndarray, sigma: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """H Sigma H^T for every H in the batch ``h``, as two batched matmuls."""
-    return np.matmul(h @ sigma, h.transpose(0, 2, 1), out=out)
+def _conjugate(h: np.ndarray, sigma: np.ndarray, out: np.ndarray | None = None,
+               scratch: np.ndarray | None = None) -> np.ndarray:
+    """H Sigma H^T for every H in the batch ``h``, as two batched matmuls; H Sigma goes to ``scratch``."""
+    return np.matmul(np.matmul(h, sigma, out=scratch), h.transpose(0, 2, 1), out=out)
 
 
-def _pair_values(out: np.ndarray, sigma: np.ndarray, s2: np.ndarray, d: int) -> None:
+def _pair_values(out: np.ndarray, sigma: np.ndarray, s2: np.ndarray, d: int,
+                 low: np.ndarray | None = None) -> None:
     """det((Sigma + S2)/d + I)^(-1/2) for each S2 in the batch into ``out``; overwrites ``s2`` with M.
 
     Each M = (Sigma + S2)/d + I is symmetric with M >= I, so it has a Cholesky
     factor L with every L_ii >= 1, and the value is 1 / prod L_ii.  L is built
     column by column over the whole batch, with the batch axis innermost:
-    ``low[p, i]`` holds L_ip of every matrix.  An M that overflows is refused
-    with a ``ValueError``, as is one with some L_ii^2 below 1/2: only rounding
-    can give that, when the added I is lost beside large entries.
+    ``low[p, i]`` holds L_ip of every matrix (a (d, d, batch) buffer, allocated
+    when not given).  An M that overflows is refused with a ``ValueError``, as
+    is one with some L_ii^2 below 1/2: only rounding can give that, when the
+    added I is lost beside large entries.
     """
     m = np.add(sigma, s2, out=s2)
     m /= d
     m += np.eye(d)
     if not np.isfinite(m).all():
         raise ValueError("entries of (Sigma + S)/d + I overflow float64; rescale the covariance")
-    low = np.empty((d, d, len(m)))
+    low = np.empty((d, d, len(m))) if low is None else low
     prod = np.ones(len(m))
     for j in range(d):
         col = m[:, j:, j].T - np.einsum("pik,pk->ik", low[:j, j:], low[:j, j])
@@ -207,21 +217,31 @@ def gaussian_zeta(sigma: CovSpec, d: int, haar: HaarConfig = HaarConfig()) -> tu
     untaken = iter(starts)
     lock = threading.Lock()
     blocks = np.empty((len(starts), 2))
+    # Three flat block buffers per thread, reused by every block it runs, so a
+    # block works in pages the thread has already touched: the normals, then
+    # H Sigma H^T and M; the Gram-Schmidt columns, then H Sigma, then the
+    # Cholesky factor; and Q.
+    size = min(_HAAR_BLOCK, haar.m) * d * d
+    buffers = [tuple(np.empty(size) for _ in range(3)) for _ in range(min(blas_threads(), len(starts)))]
 
-    def task(_, __):
+    def task(state, _):
         # A task's block is picked under the lock, not from fan_out's task: the
         # next block takes the next normals, so the seed fixes every H whichever
         # thread draws them.
         with lock:
             lo = next(untaken)
-            a = gen.standard_normal((min(_HAAR_BLOCK, haar.m - lo), d, d))
-        vals = np.empty(len(a))
+            k = min(_HAAR_BLOCK, haar.m - lo)
+            a = gen.standard_normal(out=state[0][: k * d * d].reshape(k, d, d))
+        second, q = (buf[: k * d * d] for buf in state[1:])
+        vals = np.empty(k)
         with np.errstate(over="ignore", invalid="ignore"):  # _pair_values refuses an inf M
-            _pair_values(vals, s, _conjugate(_haar_from_normals(a), s, out=a), d)
+            h = _haar_from_normals(a, second.reshape(d, d, k), q.reshape(k, d, d))
+            conj = _conjugate(h, s, out=a, scratch=second.reshape(k, d, d))
+            _pair_values(vals, s, conj, d, low=second.reshape(d, d, k))
         block_mean = vals.mean()
         blocks[lo // _HAAR_BLOCK] = block_mean, ((vals - block_mean) ** 2).sum()
 
-    fan_out(task, starts, range(blas_threads()))  # fan_out's states; the blocks need none
+    fan_out(task, starts, buffers)
     mean, var = _merged_mean_var(blocks, haar.m)
     return float(term1 - mean), float(np.sqrt(var / haar.m))
 

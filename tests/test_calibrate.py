@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -233,6 +236,55 @@ def test_exact_pvalue_at_enum_limit_within_tile_budget(monkeypatch):
     assert sum(r * c for r, c in shapes) == 1 << (ENUM_LIMIT - 1)
     k = out.p_value * (1 << ENUM_LIMIT)
     assert k == int(k) and k % 2 == 0 and k >= 2
+
+
+def _fresh_outcomes(augs, monkeypatch):
+    """exact_pvalue's outcomes, each from a workspace with no kept buffers."""
+    outcomes = []
+    for aug in augs:
+        monkeypatch.setattr(calibrate, "_workspace", threading.local())
+        outcomes.append(exact_pvalue(aug).to_dict())
+    return outcomes
+
+
+def test_exact_pvalue_with_kept_buffers_equals_a_fresh_call(monkeypatch):
+    augs = [_random_aug(40 + n, n=n, d=3) for n in (16, 18, 20, ENUM_LIMIT)]
+    want = _fresh_outcomes(augs, monkeypatch)
+    monkeypatch.setattr(calibrate, "_workspace", threading.local())
+    budget = calibrate._TILE_BYTES
+    # small tiles first, so the buffers grow at the default budget; then
+    # small again, as views into larger buffers
+    for tile_bytes, order in [(4096, [1, 0]), (budget, [0, 3, 1, 2, 0, 3]), (4096, [2, 0, 3])]:
+        monkeypatch.setattr(calibrate, "_TILE_BYTES", tile_bytes)
+        assert [exact_pvalue(augs[i]).to_dict() for i in order] == [want[i] for i in order], tile_bytes
+
+
+def test_exact_pvalue_on_several_threads_at_once_gives_the_serial_outcomes():
+    augs = [_random_aug(50 + n, n=n, d=2) for n in (12, 16, 18, 20)]
+    want = [exact_pvalue(aug).to_dict() for aug in augs]
+    orders = [[0, 1, 2, 3] * 3, [3, 2, 1, 0] * 3, [2, 0, 3, 1] * 3, [1, 3, 0, 2] * 3]
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        with ThreadPoolExecutor(len(orders)) as pool:
+            futures = [pool.submit(lambda o: [exact_pvalue(augs[i]).to_dict() for i in o], order)
+                       for order in orders]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[want[i] for i in order] for order in orders]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux's per-thread fault count")
+def test_repeated_exact_pvalue_calls_fault_in_no_fresh_pages():
+    import resource
+
+    aug = _random_aug(60, n=20, d=10)
+    exact_pvalue(aug)
+    before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+    for _ in range(20):
+        exact_pvalue(aug)
+    assert resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before < 64
 
 
 def test_mc_pvalue_bounds_and_grid():

@@ -54,6 +54,36 @@ def test_test_command_exact(tmp_path, capsys):
     assert p >= 2.0 ** (1 - 8)
 
 
+@pytest.mark.parametrize("flags, n, floor", [
+    (["--alpha", "0.001", "--B", "500"], 40, "a Monte Carlo p-value is at least 1/(B + 1) = 0.00199601, "
+                                             "not below alpha = 0.001"),
+    (["--B", "19"], 40, "a Monte Carlo p-value is at least 1/(B + 1) = 0.05, not below alpha = 0.05"),
+    (["--exact"], 5, "an exact p-value at n = 5 is at least 2^(1-n) = 0.0625, not below alpha = 0.05"),
+], ids=["alpha-0.001-B-500", "B-19", "exact-n-5"])
+def test_test_command_notes_a_test_that_cannot_reject(tmp_path, capsys, flags, n, floor):
+    path = _write_data(tmp_path, n=n, d=2)
+    assert main(["test", "--input", str(path), *flags]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"note: {floor}, so the test cannot reject\n"
+    assert "reject false" in captured.out
+
+
+@pytest.mark.parametrize("flags, n", [(["--B", "20"], 40), (["--exact"], 6), (["--exact", "--alpha", "0.07"], 5)],
+                         ids=["B-20", "exact-n-6", "exact-n-5-alpha-0.07"])
+def test_test_command_notes_nothing_when_the_test_can_reject(tmp_path, capsys, flags, n):
+    path = _write_data(tmp_path, n=n, d=2)
+    assert main(["test", "--input", str(path), *flags]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_study_notes_a_test_that_cannot_reject(tmp_path, capsys):
+    out = tmp_path / "pitman"
+    assert main(["pitman", "--gamma", "0", "--n-grid", "50", "--R", "2", "--B", "19",
+                 "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ("note: a Monte Carlo p-value is at least 1/(B + 1) = 0.05, "
+                                       "not below alpha = 0.05, so the test cannot reject\n")
+
+
 def test_test_command_reads_a_csv_with_a_utf8_byte_order_mark(tmp_path, capsys):
     # Excel's "CSV UTF-8" starts the file with a BOM
     path = _write_data(tmp_path)

@@ -51,6 +51,22 @@ def test_gaussian_refuses_a_sigma_that_covspec_refuses(sigma):
         Gaussian(d=2, sigma=sigma)
 
 
+def test_gaussian_refuses_a_sigma_that_sampling_cannot_factor():
+    # CovSpec accepts an eigenvalue down to -1e-10; this one is -5e-11
+    sigma = [[1.0, 1.0], [1.0, 1.0 - 1e-10]]
+    CovSpec(sigma)
+    with pytest.raises(ValueError, match="sigma cannot be sampled"):
+        Gaussian(d=2, sigma=sigma)
+
+
+@pytest.mark.parametrize("sigma", [[[4.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]],
+                         ids=["definite", "singular"])
+def test_gaussian_sigma_draw_is_normals_times_the_factor(sigma):
+    z = RngStream(3).generator().standard_normal((7, 2))
+    want = z @ np.linalg.cholesky(np.array(sigma) + 1e-14 * np.eye(2)).T
+    assert np.array_equal(sample(Gaussian(d=2, sigma=sigma), 7, RngStream(3)).data, want)
+
+
 def test_gaussian_rho_zero_moments():
     s = sample(Gaussian(d=4), 50_000, RngStream(0))
     emp = s.data.T @ s.data / len(s.data)

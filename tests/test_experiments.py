@@ -456,6 +456,31 @@ def test_parse_config_errors(tmp_path):
         parse_config(str(p))
 
 
+@pytest.mark.parametrize("line, message", [
+    ("R = seven", "key 'R': bad value 'seven'"),
+    ("R = 5#6", "key 'R': bad value '5#6'"),
+    ("bogus = 1", "unknown key 'bogus'"),
+], ids=["word", "hash", "unknown"])
+def test_parse_config_names_the_line_of_a_bad_value_or_key(tmp_path, line, message):
+    p = tmp_path / "bad.cfg"
+    p.write_text(f"name = x\n{line}\ncell = gaussian(d=2) n=10\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}: line 2: {message}")):
+        parse_config(str(p))
+
+
+def test_parse_config_keeps_a_hash_inside_a_value(tmp_path):
+    p = tmp_path / "hash.cfg"
+    p.write_text("name = x\n"
+                 "output = results/run#1   # run one\n"
+                 "\t# an indented comment\n"
+                 "#R = 5\n"
+                 "cell = gaussian(d=2) n=10\t#grid\n")
+    cfg = parse_config(str(p))
+    assert cfg.output == "results/run#1"
+    assert cfg.R == 200
+    assert cfg.cells == (Cell(Gaussian(d=2), 10),)
+
+
 @pytest.mark.parametrize("lines, message", [
     ("R = 5\nR = 7\n", "line 3: key 'R' given twice"),
     ("output = a\nseed = 1\noutput = b\n", "line 4: key 'output' given twice"),
