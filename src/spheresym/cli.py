@@ -26,9 +26,12 @@ from .calibrate import (
     DEFAULT_ALPHA, DEFAULT_B, ENUM_LIMIT, _cannot_reject, _check_alpha, _check_B, _check_enum_size,
     run_test,
 )
-from .core import Sample
+from .core import Sample, resample_plan
 from .distributions import describe
 from .experiments import (
+    CONFIG_KEYS,
+    DEFAULT_R,
+    PITMAN_GRID,
     load_csv_matrix,
     parse_config,
     pitman_config,
@@ -84,15 +87,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pitman", help="local-alternative efficiency study")
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--n-grid", type=int, nargs="+", default=[50, 100, 250, 500])
-    p.add_argument("--R", type=int, default=200)
+    p.add_argument("--n-grid", type=int, nargs="+", default=list(PITMAN_GRID))
+    p.add_argument("--R", type=int, default=DEFAULT_R)
     _add_common_test_flags(p)
     p.add_argument("--output", default="results/pitman")
 
     p = sub.add_parser("subsample", help="subsampling study on a local CSV dataset")
     _add_input_flags(p)
     p.add_argument("--sizes", type=int, nargs="+", required=True)
-    p.add_argument("--R", type=int, default=200)
+    p.add_argument("--R", type=int, default=DEFAULT_R)
     _add_common_test_flags(p)
     p.add_argument("--center", choices=CENTER_MODES, default="spatial-median", help=CENTER_HELP)
     p.add_argument("--output", default="results/subsample")
@@ -112,6 +115,8 @@ def cmd_test(args) -> int:
         _check_B(args.B)
         if args.exact:
             _check_enum_size(len(data))
+        else:
+            resample_plan(len(data), args.B)  # refuses a B whose pass would not fit in memory
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -157,15 +162,8 @@ def cmd_zeta_gaussian(args) -> int:
 
 def _simulate_study(args):
     config = parse_config(args.config)
-    echo = {
-        "name": config.name,
-        "R": config.R,
-        "B": config.B,
-        "alpha": config.alpha,
-        "seed": config.seed,
-        "center": config.center_mode,
-        "cells": [f"{describe(cell.spec)} n={cell.n}" for cell in config.cells],
-    }
+    echo = {key: getattr(config, attr) for key, (attr, _) in CONFIG_KEYS.items() if key != "output"}
+    echo["cells"] = [f"{describe(cell.spec)} n={cell.n}" for cell in config.cells]
     return config, config.output or f"results/{config.name}", echo
 
 
@@ -200,6 +198,7 @@ def cmd_study(args) -> int:
         args.data = Sample(load_csv_matrix(args.input, has_header=args.header)).data
     try:
         config, out, echo = _STUDIES[args.command](args)
+        resample_plan(max(cell.n for cell in config.cells), config.B)  # B too large for memory
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

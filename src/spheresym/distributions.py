@@ -209,7 +209,7 @@ def describe(spec: DistributionSpec) -> str:
     if isinstance(spec, Spiked):
         return f"spiked(gamma={spec.gamma},d={spec.d})"
     if isinstance(spec, Contaminated):
-        return f"contaminated(delta={spec.delta:g},f={describe(spec.component_f)},g={describe(spec.component_g)})"
+        return f"contaminated(delta={spec.delta},f={describe(spec.component_f)},g={describe(spec.component_g)})"
     if isinstance(spec, Subsample):
         return f"subsample({spec.label})"
     raise TypeError(f"unknown distribution spec: {spec!r}")

@@ -17,7 +17,7 @@ import math
 import os
 import re
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -38,6 +38,9 @@ from .distributions import (
 )
 from .rng import RngStream
 
+DEFAULT_R = 200
+PITMAN_GRID = (50, 100, 250, 500)
+
 
 @dataclass(frozen=True)
 class Cell:
@@ -54,7 +57,7 @@ class Cell:
 class ExperimentConfig:
     name: str
     cells: tuple[Cell, ...]
-    R: int = 200
+    R: int = DEFAULT_R
     B: int = DEFAULT_B
     alpha: float = DEFAULT_ALPHA
     seed: int = 0
@@ -161,8 +164,8 @@ def pitman_spec(n: int, gamma: float) -> Contaminated:
 
 def pitman_config(
     gamma: float,
-    n_grid: tuple[int, ...] = (50, 100, 250, 500),
-    R: int = 200,
+    n_grid: tuple[int, ...] = PITMAN_GRID,
+    R: int = DEFAULT_R,
     B: int = DEFAULT_B,
     alpha: float = DEFAULT_ALPHA,
     seed: int = 0,
@@ -176,8 +179,8 @@ def pitman_config(
 
 def run_pitman_study(
     gamma: float,
-    n_grid: tuple[int, ...] = (50, 100, 250, 500),
-    R: int = 200,
+    n_grid: tuple[int, ...] = PITMAN_GRID,
+    R: int = DEFAULT_R,
     B: int = DEFAULT_B,
     alpha: float = DEFAULT_ALPHA,
     seed: int = 0,
@@ -239,16 +242,30 @@ def _read_csv_lines(path: str, has_header: bool) -> np.ndarray:
                 rows.append(values)
         except csv.Error as exc:  # such as a field over csv's size limit
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return np.asarray(rows)
+
+
+def _not_utf8(path: str) -> ValueError:
+    """The refusal of a file that is not UTF-8 text, naming the line of its first bad byte."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        return ValueError(f"{path}: not UTF-8 text (byte 0x{raw[exc.start]:02x} on line {line})")
+    return ValueError(f"{path}: not UTF-8 text")
 
 
 def subsample_config(
     data: np.ndarray,
     name: str,
     subsample_sizes: tuple[int, ...],
-    R: int = 200,
+    R: int = DEFAULT_R,
     B: int = DEFAULT_B,
     alpha: float = DEFAULT_ALPHA,
     seed: int = 0,
@@ -299,6 +316,10 @@ def write_records(records: list[PowerRecord], out_prefix: str, config_echo: dict
 #     output = results/level_example1a
 #     cell = gaussian(rho=0,d=2) n=20
 #     cell = gaussian(rho=0,d=32) n=20
+
+# Each config key's ExperimentConfig field and converter; a key left out keeps the field's default.
+CONFIG_KEYS = {"name": ("name", str), "R": ("R", int), "B": ("B", int), "alpha": ("alpha", float),
+               "seed": ("seed", int), "output": ("output", str), "center": ("center_mode", str)}
 
 
 def _split_top(body: str) -> list[str]:
@@ -372,7 +393,7 @@ def parse_distribution(text: str) -> DistributionSpec:
         return int(d)
 
     if family == "gaussian":
-        spec = Gaussian(d=need_d(), rho=need("rho", 0.0))
+        spec = Gaussian(d=need_d(), rho=need("rho", Gaussian.rho))
     elif family in ("t", "student"):
         spec = SphericalT(d=need_d(), nu=need("nu"))
     elif family == "cauchy":
@@ -380,9 +401,9 @@ def parse_distribution(text: str) -> DistributionSpec:
     elif family == "lp":
         spec = LpSymmetric(d=need_d(), p=need("p"))
     elif family == "angular":
-        spec = AngularSymmetric(d=need_d(5))
+        spec = AngularSymmetric(d=need_d(AngularSymmetric.d))
     elif family == "mixture4":
-        spec = FourComponentMixture(d=need_d(5))
+        spec = FourComponentMixture(d=need_d(FourComponentMixture.d))
     elif family == "spiked":
         spec = Spiked(d=need_d(), gamma=need("gamma"))
     else:
@@ -404,13 +425,19 @@ def parse_cell(text: str) -> Cell:
 def parse_config(path: str) -> ExperimentConfig:
     """Read an experiment configuration file; errors name the offending line and key.
 
-    A ``#`` at the start of a line or after whitespace starts a comment; one
-    inside a value, as in ``output = results/run#1``, is part of the value.
+    The file is UTF-8 text, optionally with a byte-order mark.  A ``#`` at the
+    start of a line or after whitespace starts a comment; one inside a value,
+    as in ``output = results/run#1``, is part of the value.  Keys apply in file
+    order through :data:`CONFIG_KEYS` and :class:`ExperimentConfig`'s checks.
     """
     values: dict[str, tuple[str, int]] = {}  # key -> (value, line number)
     cells: list[Cell] = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+        for lineno, raw in enumerate(lines, start=1):
             line = re.split(r"(?:^|(?<=\s))#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
@@ -429,31 +456,19 @@ def parse_config(path: str) -> ExperimentConfig:
             else:
                 values[key] = value, lineno
 
-    required = object()
-
-    def take(key, convert, default=required):
-        if key in values:
-            value, lineno = values.pop(key)
-            try:
-                return convert(value)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: key {key!r}: bad value {value!r}") from None
-        if default is required:
-            raise ValueError(f"{path}: missing required key {key!r}")
-        return default
-
-    name = take("name", str)
-    config = ExperimentConfig(
-        name=name,
-        cells=tuple(cells),
-        R=take("R", int, 200),
-        B=take("B", int, DEFAULT_B),
-        alpha=take("alpha", float, DEFAULT_ALPHA),
-        seed=take("seed", int, 0),
-        output=take("output", str, None),
-        center_mode=take("center", str, "none"),
-    )
-    if values:
-        key, (_, lineno) = next(iter(values.items()))  # the first by line
-        raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
+    if "name" not in values:
+        raise ValueError(f"{path}: missing required key 'name'")
+    config = ExperimentConfig(name=values["name"][0], cells=tuple(cells))
+    for key, (value, lineno) in values.items():  # in file order
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"{path}: line {lineno}: unknown key {key!r}")
+        attr, convert = CONFIG_KEYS[key]
+        try:
+            converted = convert(value)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: key {key!r}: bad value {value!r}") from None
+        try:
+            config = replace(config, **{attr: converted})
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: key {key!r}: {exc}") from None
     return config

@@ -108,6 +108,50 @@ def test_test_command_exact_beyond_the_enumeration_limit_exits_2(tmp_path, monke
     assert "non-numeric field" in capsys.readouterr().err
 
 
+_HUGE_B = 10**12
+
+
+@pytest.mark.skipif(core._physical_memory_bytes() is None, reason="the OS does not report physical memory")
+def test_test_command_B_too_large_for_memory_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_test", lambda *a, **k: pytest.fail("the test ran"))
+    path = _write_data(tmp_path, n=60, d=4)
+    with pytest.raises(ValueError) as refusal:
+        core.resample_plan(60, _HUGE_B)
+    out = tmp_path / "out.json"
+    assert main(["test", "--input", str(path), "--B", str(_HUGE_B), "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {refusal.value}\n")
+    assert not out.exists()
+
+
+@pytest.mark.skipif(core._physical_memory_bytes() is None, reason="the OS does not report physical memory")
+def test_simulate_B_too_large_for_memory_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_power_study", lambda *a, **k: pytest.fail("the study ran"))
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"name = big\nB = {_HUGE_B}\noutput = {tmp_path / 'big'}\n"
+                   "cell = gaussian(d=2) n=10\ncell = gaussian(d=2) n=40\n")
+    with pytest.raises(ValueError) as refusal:
+        core.resample_plan(40, _HUGE_B)  # the largest cell's n
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {refusal.value}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["big.cfg"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["test", "--input", "latin1"], 1),
+    (["subsample", "--sizes", "2", "--input", "latin1"], 1),
+    (["simulate", "--config", "latin1"], 2),
+], ids=["test", "subsample", "simulate"])
+def test_a_file_that_is_not_utf8_is_named(tmp_path, monkeypatch, capsys, argv, code):
+    # a CSV is data (a runtime failure, exit 1); a config is usage (exit 2)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1").write_bytes("1.0,2.0\n1.0,caf\u00e9\n".encode("latin-1"))
+    assert main(argv) == code
+    assert capsys.readouterr().err == "error: latin1: not UTF-8 text (byte 0xe9 on line 2)\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["latin1"]
+
+
 def test_test_command_missing_input(tmp_path, capsys):
     rc = main(["test", "--input", str(tmp_path / "nope.csv")])
     assert rc == 1

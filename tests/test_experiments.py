@@ -9,9 +9,21 @@ import pytest
 
 from spheresym import RngStream, Sample, calibrate, core, experiments, run_test
 from spheresym.augment import CENTER_MODES
-from spheresym.distributions import Contaminated, Gaussian, LpSymmetric, Spiked, SphericalT, Subsample, sample
+from spheresym.distributions import (
+    AngularSymmetric,
+    Contaminated,
+    FourComponentMixture,
+    Gaussian,
+    LpSymmetric,
+    Spiked,
+    SphericalT,
+    Subsample,
+    describe,
+    sample,
+)
 from spheresym.experiments import (
     CSV_COLUMNS,
+    PITMAN_GRID,
     Cell,
     ExperimentConfig,
     PowerRecord,
@@ -196,6 +208,14 @@ def test_load_csv_matrix_gives_the_line_readers_outcome(tmp_path, text, header, 
         assert got == (np.shape(expected), np.asarray(expected, dtype=float).tobytes())
 
 
+def test_load_csv_matrix_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("1,2\n3,4\n5,caf\u00e9\n".encode("latin-1"))
+    for read in (load_csv_matrix, experiments._read_csv_lines):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not UTF-8 text (byte 0xe9 on line 3)")):
+            read(str(path), False)
+
+
 def test_load_csv_matrix_refuses_a_field_over_csvs_size_limit_by_line(tmp_path):
     # csv.reader raises csv.Error past 131,072 characters a field; the reader names the line
     path = _write(tmp_path / "m.csv", "1,2\n" + "x" * 200_000 + ",3\n")
@@ -375,6 +395,20 @@ def test_parse_distribution_families():
     assert parse_distribution("mixture4()").d == 5
 
 
+_PITMAN_SPECS = [pitman_spec(n, 0.0) for n in PITMAN_GRID]
+
+
+@pytest.mark.parametrize("spec", [
+    Gaussian(d=3), Gaussian(d=5, rho=0.3), SphericalT(d=4, nu=2.5), SphericalT(d=2, nu=1.0),
+    LpSymmetric(d=6, p=math.inf), LpSymmetric(d=3, p=1), AngularSymmetric(), FourComponentMixture(),
+    Spiked(d=32, gamma=-0.25), *_PITMAN_SPECS,
+    Contaminated(1 / 3, Contaminated(0.1, Gaussian(d=2), SphericalT(d=2, nu=3)), Gaussian(d=2, rho=0.7)),
+], ids=["gaussian", "gaussian-rho", "t", "cauchy", "lp-inf", "lp-1", "angular", "mixture4", "spiked",
+        *(f"pitman-n{n}" for n in PITMAN_GRID), "nested"])
+def test_describe_round_trips_through_parse_distribution(spec):
+    assert parse_distribution(describe(spec)) == spec
+
+
 def test_parse_distribution_nested_mixture():
     spec = parse_distribution(
         "contaminated(delta=0.5,f=gaussian(rho=0,d=10),g=gaussian(rho=0.5,d=10))"
@@ -460,11 +494,33 @@ def test_parse_config_errors(tmp_path):
     ("R = seven", "key 'R': bad value 'seven'"),
     ("R = 5#6", "key 'R': bad value '5#6'"),
     ("bogus = 1", "unknown key 'bogus'"),
-], ids=["word", "hash", "unknown"])
+    ("R = 0", "key 'R': R must be >= 1, got 0"),
+    ("B = 0", "key 'B': B must be >= 1, got 0"),
+    ("alpha = 1.5", "key 'alpha': alpha must be in (0, 1), got 1.5"),
+    ("seed = -1", "key 'seed': seed must be >= 0, got -1"),
+    ("center = median", "key 'center': center must be one of ('none', 'spatial-median'), got 'median'"),
+], ids=["word", "hash", "unknown", "R", "B", "alpha", "seed", "center"])
 def test_parse_config_names_the_line_of_a_bad_value_or_key(tmp_path, line, message):
     p = tmp_path / "bad.cfg"
     p.write_text(f"name = x\n{line}\ncell = gaussian(d=2) n=10\n")
     with pytest.raises(ValueError, match=re.escape(f"{p}: line 2: {message}")):
+        parse_config(str(p))
+
+
+def test_parse_config_reads_utf8_with_a_byte_order_mark(tmp_path):
+    text = "name = caf\u00e9\nseed = 3\ncell = gaussian(d=2) n=10\n"
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_bytes(text.encode("utf-8"))
+    bom.write_bytes(text.encode("utf-8-sig"))
+    cfg = parse_config(str(bom))
+    assert cfg == parse_config(str(plain))
+    assert (cfg.name, cfg.seed) == ("caf\u00e9", 3)
+
+
+def test_parse_config_names_a_file_that_is_not_utf8(tmp_path):
+    p = tmp_path / "latin1.cfg"
+    p.write_bytes("name = x\noutput = caf\u00e9\ncell = gaussian(d=2) n=10\n".encode("latin-1"))
+    with pytest.raises(ValueError, match=re.escape(f"{p}: not UTF-8 text (byte 0xe9 on line 2)")):
         parse_config(str(p))
 
 
