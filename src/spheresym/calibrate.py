@@ -18,7 +18,8 @@ all-ones vector and the full swap tie with the observed statistic;
 differently ordered sums of the same value may still differ in the last
 bits, which the tie guard absorbs.  A study keeps only the decision, so
 its pass may stop once enough resamples reach the observed value that the
-test cannot reject (``_rejects``); ``run_test`` and ``mc_pvalue`` always
+test cannot reject (``_rejects``), and the sign rows are drawn only as the
+pass reads them (``_SignRows``); ``run_test`` and ``mc_pvalue`` always
 evaluate all B.
 """
 
@@ -31,16 +32,18 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .augment import augment, center
-from .core import AugmentedSample, Sample, _tie_floor, one_tile, resample_plan, swap_values
+from .core import AugmentedSample, Sample, _tie_floor, one_tile, swap_values
 from .rng import RngStream
 
 DEFAULT_B = 500
 DEFAULT_ALPHA = 0.05
 ENUM_LIMIT = 26
 _TILE_BYTES = 1 << 20  # per-tile memory of the exact enumeration
-# int64 buffer per chunk of the sign draw: under glibc malloc's initial 128 KB
-# mmap threshold, so each chunk reuses heap memory (1 MB chunks raised the
-# peak RSS of a run over n = 50 to 500, B = 500, by 1.8 MB)
+# bytes of raw generator words per chunk of the sign draw: under glibc malloc's
+# initial 128 KB mmap threshold, so each chunk reuses heap memory (1 MB chunks
+# raised the peak RSS of a run over n = 50 to 500, B = 500, by 1.8 MB; one word
+# array per call faults in fresh pages every time, and drew slower at n = 500
+# than integers(0, 2))
 _DRAW_BYTES = 120 << 10
 
 
@@ -228,36 +231,83 @@ def exact_pvalue(aug: AugmentedSample, alpha: float = DEFAULT_ALPHA) -> TestOutc
                        n=n, d=aug.d)
 
 
-def _draw_signs(n: int, B: int, rng: RngStream) -> np.ndarray:
-    """B i.i.d. uniform masks as (B, n) int8 signs s = 2 * bit - 1.
+class _SignRows:
+    """B i.i.d. uniform masks as (B, n) int8 signs s = 2 * bit - 1, drawn as they are first read.
 
-    Repeats and the identity mask are allowed.  The rows are drawn from one
-    generator in chunks of at most ``_DRAW_BYTES`` of int64 (or one row);
-    the generator's stream runs on across calls, so the signs are bit for
-    bit those of one (B, n) ``integers(0, 2)`` draw, and no B x n int64
-    buffer is made.
+    Repeats and the identity mask are allowed.  ``len()`` is B, and
+    ``rows[lo:hi, cols]`` reads rows as ``core.swap_values`` does: any rows
+    not yet drawn up to ``hi`` are drawn first, in row order and under one
+    lock, so a pass that stops draws only the rows it evaluates, and any
+    thread may read.  The B x n array is allocated at the first read, after
+    the pass has planned (and refused an impossible B).
+
+    Each sign's bit is the top bit of one 32-bit half of PCG64's raw 64-bit
+    words, low half first, with an unused high half carried to the next row.
+    That is what ``integers(0, 2)`` takes: Lemire's method on ``next_uint32``
+    with bound 1 has threshold 0, so the signs are bit for bit those of one
+    (B, n) ``integers(0, 2)`` draw from ``rng``'s generator.  The words are
+    read in chunks of at most ``_DRAW_BYTES``.
     """
-    gen = rng.generator()
-    signs = np.empty((B, n), np.int8)
-    step = max(1, _DRAW_BYTES // (8 * n))
-    for lo in range(0, B, step):
-        signs[lo:lo + step] = gen.integers(0, 2, size=(min(step, B - lo), n))
-    signs <<= 1
-    signs -= 1
-    return signs
+
+    def __init__(self, n: int, B: int, rng: RngStream):
+        self.n, self.B = n, B
+        self._bits = rng.generator().bit_generator
+        self._signs = None
+        self._drawn = 0  # rows filled so far
+        self._carry = None  # the high half of the last word read, if not yet used
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return self.B
+
+    def __getitem__(self, key):
+        rows, cols = key
+        with self._lock:
+            self._draw(rows.indices(self.B)[1])
+        return self._signs[rows, cols]
+
+    def _draw(self, hi: int) -> None:
+        """Fill rows up to ``hi`` from the stream; the caller holds the lock."""
+        if self._signs is None:
+            self._signs = np.empty((self.B, self.n), np.int8)
+        step = max(1, _DRAW_BYTES // (4 * self.n))  # rows whose words fit in _DRAW_BYTES
+        while self._drawn < hi:
+            lo = self._drawn
+            flat = self._signs[lo:min(lo + step, hi)].reshape(-1)
+            at = 0
+            if self._carry is not None:
+                flat[0] = self._carry
+                at, self._carry = 1, None
+            low, high = flat[at::2], flat[at + 1::2]
+            words = self._bits.random_raw(len(low))
+            high[:] = words[:len(high)] >> 63
+            if len(high) < len(words):  # the last high half waits for the next row
+                self._carry = words[-1] >> 63
+            np.right_shift(words, 31, out=words)
+            words &= 1
+            low[:] = words
+            np.add(flat, flat, out=flat)  # bits to signs; int8 "<<=" has no fast loop
+            flat -= 1
+            self._drawn = lo + len(flat) // self.n
+
+
+def _draw_signs(n: int, B: int, rng: RngStream) -> np.ndarray:
+    """All B rows of :class:`_SignRows` at once, as one (B, n) int8 array."""
+    return _SignRows(n, B, rng)[:, :]
 
 
 def _resample(aug: AugmentedSample, B: int, rng: RngStream, stop: int | None = None) -> np.ndarray:
     """The observed statistic, then those of B uniform masks drawn from ``rng``.
 
-    All B masks are drawn; with ``stop``, the pass may end once ``stop`` of
-    the values it has evaluated tie with or exceed the observed one, and
-    returns those evaluated (``core.swap_values``).  A B < 1, or a pass that
-    would not fit in memory, is refused before drawing.
+    With ``stop``, the pass may end once ``stop`` of the values it has
+    evaluated tie with or exceed the observed one, and returns those
+    evaluated (``core.swap_values``).  The masks are drawn as the pass reads
+    them (:class:`_SignRows`), so a stopped pass draws only the rows it
+    evaluated.  A B < 1, or a pass that would not fit in memory, is refused
+    before any sign is drawn.
     """
     _check_B(B)
-    resample_plan(aug.n, B)
-    return swap_values(aug, _draw_signs(aug.n, B, rng), stop)
+    return swap_values(aug, _SignRows(aug.n, B, rng), stop)
 
 
 def _stop_count(B: int, alpha: float) -> int:

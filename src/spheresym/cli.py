@@ -204,11 +204,12 @@ def cmd_study(args) -> int:
         return 2
     _note(_cannot_reject(config.alpha, config.B))
     records = run_power_study(config)
-    header = f"{'spec':<50} {'n':>5} {'d':>5} {'power':>7} {'se':>7}"
+    width = max(len("spec"), *(len(rec.spec) for rec in records))
+    header = f"{'spec':<{width}} {'n':>5} {'d':>5} {'power':>7} {'se':>7}"
     print(header)
     print("-" * len(header))
     for rec in records:
-        print(f"{rec.spec:<50} {rec.n:>5} {rec.d:>5} {rec.power:>7.3f} {rec.std_error:>7.3f}")
+        print(f"{rec.spec:<{width}} {rec.n:>5} {rec.d:>5} {rec.power:>7.3f} {rec.std_error:>7.3f}")
     csv_path, json_path = write_records(records, out, echo)
     print(f"wrote {csv_path} and {json_path}")
     return 0

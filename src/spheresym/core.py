@@ -119,7 +119,9 @@ class AugmentedSample:
             )
         if not np.isfinite(variant).all():
             raise ValueError("variant contains NaN or Inf")
-        if not np.allclose(norm_v, norm_o, rtol=1e-9, atol=1e-300):
+        # np.allclose(norm_v, norm_o, rtol=1e-9, atol=1e-300) for the finite
+        # norm_o, elementwise: about 4x faster at n = 500
+        if not (np.abs(norm_v - norm_o) <= 1e-300 + 1e-9 * norm_o).all():
             raise ValueError("variant row norms do not match original row norms")
         object.__setattr__(self, "variant", variant)
 
@@ -324,9 +326,15 @@ def _statistics(shares: np.ndarray, n: int) -> np.ndarray:
 def swap_values(aug: AugmentedSample, signs: np.ndarray | None = None, stop: int | None = None) -> np.ndarray:
     """The observed statistic, then s^T G s / (n (n-1)) for each row s of ``signs``, in one pass.
 
-    ``signs`` is a (B, n) array of +1/-1 entries of any dtype (int8 from
-    the sign draw, float from :func:`swap_statistic`), which are not checked
-    here; None stands for B = 0.  Each task builds all its blocks of G into
+    ``signs`` holds B rows of n +1/-1 entries of any dtype, which are not
+    checked here: a (B, n) array (float from :func:`swap_statistic`), or
+    anything that gives ``len()`` and ``[rows, cols]`` slices of one, like
+    the Monte Carlo sign source, which draws each row when it is first read;
+    None stands for B = 0.  The pass plans, and refuses a pass too large for
+    memory (:func:`resample_plan`), before it reads a row.  On one thread it
+    reads a chunk's rows only when it reaches the chunk, so a stopped pass
+    reads only the rows it evaluates; on several, it reads all B rows on
+    the calling thread before the pool starts.  Each task builds all its blocks of G into
     its thread's store and takes their all-ones shares, then streams the
     sign rows in chunks: a chunk's columns of the task are copied into the
     thread's float64 panel, and every kept block writes its shares of that
@@ -346,6 +354,11 @@ def swap_values(aug: AugmentedSample, signs: np.ndarray | None = None, stop: int
     s = np.empty((0, n), np.int8) if signs is None else signs
     B = len(s)
     tasks, workers, sizes = resample_plan(n, B)
+    if workers > 1:
+        # A pass of several tasks reads every row, and memory first taken in
+        # a pool thread stays in that thread's malloc arena: drawing the rows
+        # there raised a run_test's peak RSS by 2 MB at n = 2000.
+        s = s[0:B, :]
     ones = np.ones((1, n))
     shares = np.empty((sum(len(blocks) for _, _, blocks in tasks), B + 1))
     curtail = stop is not None and len(tasks) == 1

@@ -312,6 +312,66 @@ def test_draw_signs_are_the_mask_stream_as_signs():
     assert np.array_equal(signs, 2.0 * bits - 1.0)
 
 
+@pytest.mark.parametrize("draw_bytes", [calibrate._DRAW_BYTES, 100])  # 100: one row per chunk of words
+@pytest.mark.parametrize("n", [1, 7, 131])
+def test_sign_rows_read_in_ragged_chunks_are_one_integers_draw(monkeypatch, n, draw_bytes):
+    monkeypatch.setattr(calibrate, "_DRAW_BYTES", draw_bytes)
+    B = 99
+    want = 2 * RngStream(3, (n,)).generator().integers(0, 2, size=(B, n)) - 1
+    rows = calibrate._SignRows(n, B, RngStream(3, (n,)))
+    assert len(rows) == B
+    cols = slice(n // 2, n)
+    for lo, hi in ((0, 1), (1, 7), (7, B // 3), (B // 3, B)):
+        assert np.array_equal(rows[lo:hi, cols], want[lo:hi, cols])
+    assert np.array_equal(rows[0:2, :], want[:2])  # rows already drawn are not drawn again
+    assert rows[:, :].dtype == np.int8 and np.array_equal(rows[:, :], want)
+
+
+def test_a_stopped_replication_draws_only_the_rows_it_evaluates(monkeypatch):
+    n, B = 500, 500
+    ((_, chunk, blocks),) = core.resample_plan(n, B)[0]
+    made = []
+
+    class Kept(calibrate._SignRows):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(calibrate, "_SignRows", Kept)
+    rows = _count_form_rows(monkeypatch)
+    null = Sample(np.random.default_rng(3).standard_normal((n, 10)))
+    assert not calibrate._rejects(null, RngStream(4), 0.05, B)
+    evaluated = sum(rows) // len(blocks) - 1  # each block's all-ones row, then its sign rows
+    assert 0 < evaluated < B and evaluated % chunk == 0
+    # the generator is exactly the evaluated rows' words past a fresh one
+    (kept,) = made
+    fresh = RngStream(4).child(1).generator().bit_generator
+    fresh.random_raw(-(-evaluated * n // 2))
+    assert kept._bits.state == fresh.state
+
+
+def test_mc_pvalue_draws_the_same_signs_from_any_number_of_pass_workers(monkeypatch):
+    # several tasks (tiles of 4 rows) of many chunks (panels of 64 signs per
+    # tile): one worker draws the rows as its tasks reach them, several draw
+    # them all on the calling thread first
+    aug = _random_aug(22, n=21)
+    monkeypatch.setattr(core, "TILE", 4)
+    monkeypatch.setattr(core, "PANEL", 64)
+    B = 300
+    want = core.swap_values(aug, calibrate._draw_signs(21, B, RngStream(9)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(core, "blas_threads", lambda: workers)
+            assert core.resample_plan(21, B)[1] == workers
+            assert np.array_equal(calibrate._resample(aug, B, RngStream(9)), want)
+            outcome = mc_pvalue(aug, B, RngStream(9))
+            assert outcome.p_value == (np.count_nonzero(want[1:] >= core._tie_floor(want[0])) + 1) / (B + 1)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_mc_pvalue_deterministic_and_validates_B():
     aug = _random_aug(11)
     a = mc_pvalue(aug, 50, RngStream(5))
@@ -394,7 +454,7 @@ def test_bad_alpha_is_refused_before_any_centering_drawing_or_enumeration(monkey
     def work(*args, **kwargs):
         raise AssertionError("work started before alpha was checked")
 
-    for name in ("center", "augment", "_draw_signs", "resample_plan", "one_tile", "swap_values"):
+    for name in ("center", "augment", "_SignRows", "one_tile", "swap_values"):
         monkeypatch.setattr(calibrate, name, work)
     calls = [
         lambda: run_test(aug.original, RngStream(0), alpha=alpha),

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -371,6 +372,19 @@ def test_pitman_command(tmp_path, capsys):
     # invalid local alternative -> usage error
     assert main(["pitman", "--gamma", "0.1", "--n-grid", "50", "--R", "2",
                  "--output", str(out)]) == 2
+
+
+def test_study_table_columns_line_up_under_their_headers(tmp_path, capsys):
+    # Pitman specs run past 70 characters; the spec column is as wide as the longest
+    assert main(["pitman", "--gamma", "0", "--R", "2", "--B", "20", "--output", str(tmp_path / "p")]) == 0
+    header, rule, *rows, wrote = capsys.readouterr().out.splitlines()
+    assert wrote.startswith("wrote ") and rule == "-" * len(header) and len(rows) == 4
+    ends = [m.end() for m in re.finditer(r"\S+", header)]
+    assert header.split() == ["spec", "n", "d", "power", "se"]
+    for row in rows:
+        assert len(row.split()) == 5 and len(row) == len(header)
+        assert [m.end() for m in re.finditer(r"\S+", row)][1:] == ends[1:]
+    assert max(len(row.split()[0]) for row in rows) == ends[1] - 5 - 1 > 70
 
 
 def test_subsample_command(tmp_path, capsys):

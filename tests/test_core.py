@@ -113,6 +113,52 @@ def test_augmented_sample_norm_check():
         AugmentedSample(original=s, variant=np.array([[1.0, 0.0]]))
 
 
+def _at_the_tolerance(y):
+    """x with fl(1e-9 x) == y; for a y of few mantissa bits, x + y is exact and sits at rtol x from x."""
+    x = y / 1e-9
+    return next(c for c in (x + k * math.ulp(x) for k in range(-50, 51)) if 1e-9 * c == y)
+
+
+def _norms_match_as_allclose(original, variant):
+    norms = [np.linalg.norm(a, axis=1) for a in (variant, original)]
+    return bool(np.allclose(*norms, rtol=1e-9, atol=1e-300))
+
+
+def test_augmented_sample_norm_check_is_allclose():
+    # the rule |‖v‖ − ‖x‖| <= 1e-300 + 1e-9 ‖x‖, row by row, as np.allclose reads it
+    cases = []
+    for y in (2.0**-30, 2.0**-20, 3 * 2.0**-40, 2.0**-500, 2.0**60):
+        x = _at_the_tolerance(y)
+        at = x + y
+        assert abs(at - x) == 1e-300 + 1e-9 * x  # exactly at the tolerance
+        cases += [(x, at), (x, np.nextafter(at, np.inf)), (x, np.nextafter(at, 0.0)), (-x, -at), (x, -at)]
+    rng = np.random.default_rng(4)
+    for scale in (1e-200, 1e-5, 1.0, 1e7, 1e150):
+        for rel in (0.0, 3e-10, -9.99e-10, 1e-9, -1e-9, 1.001e-9, 2e-9):
+            x = scale * rng.uniform(0.5, 2.0)
+            cases.append((x, x * (1 + rel)))
+    cases += [(0.0, 0.0), (0.0, 1e-300), (0.0, 1e-150), (1e-300, 0.0), (1e-310, 2e-310)]
+    verdicts = set()
+    for x, v in cases:
+        original, variant = np.array([[x]]), np.array([[v]])
+        want = _norms_match_as_allclose(original, variant)
+        verdicts.add(want)
+        if want:
+            AugmentedSample(original=Sample(original), variant=variant)
+        else:
+            with pytest.raises(ValueError, match="variant row norms do not match"):
+                AugmentedSample(original=Sample(original), variant=variant)
+    assert verdicts == {True, False}
+    # rows of three columns, one of them off by 2e-9: the whole sample is refused
+    data = rng.standard_normal((6, 3))
+    variant = data[:, ::-1] * np.array([[1.0]] * 5 + [[1 + 2e-9]])
+    assert not _norms_match_as_allclose(data, variant)
+    with pytest.raises(ValueError, match="variant row norms do not match"):
+        AugmentedSample(original=Sample(data), variant=variant)
+    assert _norms_match_as_allclose(data, data[:, ::-1])
+    AugmentedSample(original=Sample(data), variant=data[:, ::-1])
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_augmented_sample_refuses_a_variant_that_is_not_finite(bad):
     # the original's norms are finite: an overflowed one is refused first, as
@@ -269,12 +315,12 @@ def _refuse_draws(monkeypatch):
     def draw(*args):
         raise AssertionError("signs drawn")
 
-    monkeypatch.setattr(calibrate, "_draw_signs", draw)
+    monkeypatch.setattr(calibrate._SignRows, "_draw", draw)
 
 
 def test_resampling_refuses_more_than_physical_memory(monkeypatch):
     aug = augment(Sample(np.random.default_rng(9).standard_normal((10, 2))), RngStream(9))
-    draw = calibrate._draw_signs
+    draw = calibrate._SignRows._draw
     # the B x n signs at one byte each, then in 8-byte floats one tile pair's
     # B + 1 shares and one thread's block store, scratch and B x n sign panel
     need = 7 * 10 + 8 * (1 * 8 + (10 * 10 + 10 * 10 + 7 * 10))
@@ -287,7 +333,7 @@ def test_resampling_refuses_more_than_physical_memory(monkeypatch):
         calibrate.critical_value(aug, 0.05, 7, RngStream(0))
     with pytest.raises(ValueError, match=message):
         core.swap_values(aug, np.ones((7, 10)))
-    monkeypatch.setattr(calibrate, "_draw_signs", draw)
+    monkeypatch.setattr(calibrate._SignRows, "_draw", draw)
     monkeypatch.setattr(core, "_physical_memory_bytes", lambda: need)
     want = calibrate.mc_pvalue(aug, 7, RngStream(0))
     assert want.B == 7
